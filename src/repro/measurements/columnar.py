@@ -30,40 +30,101 @@ over the same records (all reduce to the single
 what lets :func:`repro.core.scoring.score_regions` swap in for the
 per-region re-group loop without changing a single ScoreBreakdown.
 
-The exact plane is batch-shaped: build it from a finished batch, and
-treat :meth:`ColumnarStore.append` as a batch boundary — it adopts the
-new records, drops every derived column/index/plane/view (stale views
-must be re-fetched), and incrementally feeds the store's attached
+The exact plane is incremental: :meth:`ColumnarStore.append` merges
+each batch into whatever the store has already built — columns, group
+indexes, the pair index and the sorted per-metric planes — instead of
+rebuilding them. New rows always follow old rows and the plane's
+``lexsort`` is stable, so inserting each batch value on the right of
+its (slot, value) position reproduces the cold build exactly, ties and
+signed zeros included: a store grown by appends is bit-identical to
+``ColumnarStore(all records)``. A merge costs O(batch·log batch + n)
+numpy copying instead of O(n) Python field reads plus one O(n log n)
+sort per metric. Cubes and views are dropped (stale views must be
+re-fetched); they rebuild cheaply from the merged planes. Derived state
+that was never built stays unbuilt. The store's attached
 :class:`~.sketchplane.SketchPlane` (if one was requested via
-:meth:`ColumnarStore.sketch_plane`), which is how the streaming scoring
-path stays O(1) per arrival while the exact plane stays a rebuild-on-
-read batch artifact. Accumulating sinks rebuild (cheaply, one pass)
-when they need fresh columns — see
-:class:`repro.probing.sinks.MemorySink`.
+:meth:`ColumnarStore.sketch_plane`) is fed O(1) amortized per record,
+which keeps the streaming scoring path O(1) per arrival.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
 from repro.core.aggregation import percentile_of
 from repro.core.metrics import Metric
-from repro.obs import counter
+from repro.obs import counter, span
 
 from .record import Measurement
 
 # Columnar quantile-plane telemetry: these are what make PR 1's
 # memoization verifiable in production — a healthy batch-scoring run
 # shows hits ≫ misses and sorts bounded by the number of metric planes
-# (or, for ad-hoc views, groups × metrics).
+# (or, for ad-hoc views, groups × metrics). Appends merge into built
+# planes without sorting them again: ``merges`` counts the records
+# merged, ``sorts`` stays the count of full plane sorts.
 _HITS = counter("quantile_cache.columnar.hits")
 _MISSES = counter("quantile_cache.columnar.misses")
 _SORTS = counter("quantile_cache.columnar.sorts")
+_MERGES = counter("quantile_cache.columnar.merges")
 
 #: Group axes the store indexes out of the box.
 AXES = ("region", "source", "isp")
+
+_K = TypeVar("_K", bound=Hashable)
+
+#: A record's (region, dataset) pair key.
+_PAIR = attrgetter("region", "source")
+
+
+def _float_column(records: Sequence[Measurement], field: str) -> np.ndarray:
+    """One metric field of ``records`` as float64 (NaN where unobserved)."""
+    return np.array(
+        [
+            value if value is not None else np.nan
+            for value in map(attrgetter(field), records)
+        ],
+        dtype=np.float64,
+    )
+
+
+def _group_rows(keys: Iterable[_K], offset: int = 0) -> Dict[_K, np.ndarray]:
+    """key → row-index array, rows numbered from ``offset``.
+
+    Falsy keys (empty ISP names) are skipped; keys keep first-seen
+    order.
+    """
+    buckets: Dict[_K, List[int]] = {}
+    for row, key in enumerate(keys, offset):
+        if key:
+            buckets.setdefault(key, []).append(row)
+    return {
+        key: np.asarray(rows, dtype=np.intp) for key, rows in buckets.items()
+    }
+
+
+def _extend_index(
+    index: Mapping[_K, np.ndarray], batch: Mapping[_K, np.ndarray]
+) -> Dict[_K, np.ndarray]:
+    """A copy of ``index`` with ``batch``'s rows appended per key."""
+    merged = dict(index)
+    for key, rows in batch.items():
+        old = merged.get(key)
+        merged[key] = rows if old is None else np.concatenate((old, rows))
+    return merged
 
 
 class _MetricPlane:
@@ -82,6 +143,54 @@ class _MetricPlane:
         self.values = values
         self.starts = starts
         self.counts = counts
+
+    def merged(
+        self,
+        remap: Optional[np.ndarray],
+        pairs: int,
+        batch_values: np.ndarray,
+        batch_ids: np.ndarray,
+    ) -> "_MetricPlane":
+        """This plane with one appended batch merged in.
+
+        ``remap`` maps old slots to new ones (None when the batch adds
+        no pair); ``pairs`` is the new slot count; ``batch_values`` and
+        ``batch_ids`` are the batch's column (NaN where unobserved) and
+        new-numbering slots. Batch rows follow every old row, so the
+        cold build's stable lexsort puts each batch value after the
+        equal values already in its segment: ``searchsorted`` on the
+        right side finds that spot, and the batch's own stable
+        (slot, value) sort orders values that land on the same spot.
+        """
+        valid = ~np.isnan(batch_values)
+        values = batch_values[valid]
+        ids = batch_ids[valid]
+        order = np.lexsort((values, ids))
+        values = values[order]
+        ids = ids[order]
+        if remap is None:
+            old_counts = self.counts
+        else:
+            old_counts = np.zeros(pairs, dtype=self.counts.dtype)
+            old_counts[remap] = self.counts
+        old_starts = np.cumsum(old_counts) - old_counts
+        positions = np.empty(values.size, dtype=np.intp)
+        touched, firsts = np.unique(ids, return_index=True)
+        lasts = np.append(firsts[1:], ids.size)
+        for slot, first, last in zip(
+            touched.tolist(), firsts.tolist(), lasts.tolist()
+        ):
+            start = int(old_starts[slot])
+            segment = self.values[start : start + int(old_counts[slot])]
+            positions[first:last] = start + np.searchsorted(
+                segment, values[first:last], side="right"
+            )
+        counts = old_counts + np.bincount(ids, minlength=pairs)
+        return _MetricPlane(
+            np.insert(self.values, positions, values),
+            np.cumsum(counts) - counts,
+            counts,
+        )
 
 
 class AggregateCube:
@@ -257,42 +366,30 @@ class ColumnarStore:
     # -- streaming ingest --------------------------------------------------
 
     def append(self, records: Iterable[Measurement]) -> None:
-        """Adopt new records: a batch boundary for the exact plane.
+        """Adopt new records, merging them into the built exact plane.
 
-        Every derived artifact (columns, indexes, sorted planes, cubes,
-        views) is dropped — views handed out before the append are
-        frozen snapshots of the old batch and must be re-fetched — but
-        the attached sketch plane (see :meth:`sketch_plane`) is fed
-        *incrementally*, O(1) amortized per record, which is what lets
-        the streaming scoring path re-score after an append without the
-        O(n log n) exact-plane rebuild.
+        Every column, group index, pair index and sorted plane the
+        store has built is extended in place of a rebuild (see
+        :meth:`_merge`), bit-identical to a fresh
+        ``ColumnarStore(all records)``; state never built stays
+        unbuilt. Cubes and views are dropped — views handed out before
+        the append are stale (pair slots may have moved) and must be
+        re-fetched. The attached sketch plane (see :meth:`sketch_plane`)
+        is fed *incrementally*, O(1) amortized per record.
 
         Each non-empty call also bumps :attr:`generation` — but only
-        *after* the records are adopted, the stale caches dropped, and
-        the sketch plane fed, so a reader that observes the new stamp
-        is guaranteed a fully consistent plane. Generation-keyed caches
-        (the serving layer's score cache) invalidate on a single
-        integer compare.
+        *after* the records are merged, the stale cubes and views
+        dropped, and the sketch plane fed, so a reader that observes
+        the new stamp is guaranteed a fully consistent plane.
+        Generation-keyed caches (the serving layer's score cache)
+        invalidate on a single integer compare.
         """
         new = records if isinstance(records, list) else list(records)
         if not new:
             return
-        if not self._owns_records:
-            self._records = list(self._records)
-            self._owns_records = True
-        self._records.extend(new)
-        self._columns.clear()
-        self._indexes.clear()
-        self._pair_index = None
-        self._pair_keys = None
-        self._pair_slots = None
-        self._pair_ids = None
-        self._planes.clear()
-        self._cubes.clear()
-        self._all_view = None
-        self._axis_views.clear()
-        self._pair_views.clear()
-        self._by_region = None
+        with span("columnar_append", records=len(new)):
+            self._merge(new)
+        _MERGES.inc(len(new))
         if self._sketch is not None:
             # The plane's own add() notifies the health monitor per
             # record; notifying here too would double-count arrivals.
@@ -306,10 +403,88 @@ class ColumnarStore:
                     health.record_arrival(
                         record.region, record.source, record.timestamp
                     )
-        # Bumped last: the plane is fully consistent (records adopted,
-        # caches dropped, sketch fed) before the stamp moves, so a
-        # stamp can never name a partially-appended batch.
+        # Bumped last: the plane is fully consistent (records merged,
+        # cubes and views dropped, sketch fed) before the stamp moves,
+        # so a stamp can never name a partially-appended batch.
         self.generation += 1
+
+    def _merge(self, new: List[Measurement]) -> None:
+        """Merge ``new`` into every built column, index and plane.
+
+        Cost is O(batch·log batch + n) numpy copying. Every merged
+        array is built before any is assigned, so a failure part-way
+        leaves the store as it was.
+        """
+        offset = len(self._records)
+        batch_columns = {
+            metric: _float_column(new, metric.field_name)
+            for metric in self._columns
+        }
+        columns = {
+            metric: np.concatenate((column, batch_columns[metric]))
+            for metric, column in self._columns.items()
+        }
+        indexes = {
+            axis: _extend_index(
+                index, _group_rows(map(attrgetter(axis), new), offset)
+            )
+            for axis, index in self._indexes.items()
+        }
+        pairs = None
+        planes: Dict[Metric, _MetricPlane] = {}
+        if self._pair_slots is not None:
+            batch_pairs = _group_rows(map(_PAIR, new), offset)
+            pair_index = _extend_index(self._pair_index, batch_pairs)
+            if len(pair_index) == len(self._pair_keys):
+                keys, slots = self._pair_keys, self._pair_slots
+                remap = None
+                old_ids = self._pair_ids
+            else:
+                # New pairs take their sorted slots; old slot ids move
+                # up by one monotone gather.
+                keys = tuple(sorted(pair_index))
+                slots = {key: slot for slot, key in enumerate(keys)}
+                remap = np.fromiter(
+                    (slots[key] for key in self._pair_keys),
+                    dtype=np.intp,
+                    count=len(self._pair_keys),
+                )
+                old_ids = remap[self._pair_ids]
+            batch_ids = np.empty(len(new), dtype=np.intp)
+            for key, rows in batch_pairs.items():
+                batch_ids[rows - offset] = slots[key]
+            pairs = (
+                pair_index,
+                keys,
+                slots,
+                np.concatenate((old_ids, batch_ids)),
+            )
+            planes = {
+                metric: plane.merged(
+                    remap, len(keys), batch_columns[metric], batch_ids
+                )
+                for metric, plane in self._planes.items()
+            }
+        if not self._owns_records:
+            # Adopted lists belong to the caller: copy before growing.
+            self._records = list(self._records)
+            self._owns_records = True
+        self._records.extend(new)
+        self._columns = columns
+        self._indexes = indexes
+        if pairs is not None:
+            (
+                self._pair_index,
+                self._pair_keys,
+                self._pair_slots,
+                self._pair_ids,
+            ) = pairs
+        self._planes = planes
+        self._cubes = {}
+        self._all_view = None
+        self._axis_views = {}
+        self._pair_views = {}
+        self._by_region = None
 
     def sketch_plane(self, delta: Optional[int] = None) -> "SketchPlane":
         """The store's attached sketch plane, built lazily and kept fed.
@@ -342,16 +517,7 @@ class ColumnarStore:
         """The full value column for ``metric`` (NaN where unobserved)."""
         cached = self._columns.get(metric)
         if cached is None:
-            field = metric.field_name
-            cached = np.array(
-                [
-                    value if value is not None else np.nan
-                    for value in (
-                        getattr(record, field) for record in self._records
-                    )
-                ],
-                dtype=np.float64,
-            )
+            cached = _float_column(self._records, metric.field_name)
             self._columns[metric] = cached
         return cached
 
@@ -365,16 +531,7 @@ class ColumnarStore:
             raise KeyError(f"unknown group axis: {axis!r} (have {AXES})")
         cached = self._indexes.get(axis)
         if cached is None:
-            buckets: Dict[str, List[int]] = {}
-            for row, record in enumerate(self._records):
-                key = getattr(record, axis)
-                if not key:
-                    continue
-                buckets.setdefault(key, []).append(row)
-            cached = {
-                key: np.asarray(rows, dtype=np.intp)
-                for key, rows in buckets.items()
-            }
+            cached = _group_rows(map(attrgetter(axis), self._records))
             self._indexes[axis] = cached
         return cached
 
@@ -396,16 +553,7 @@ class ColumnarStore:
         """Build the (region, dataset) pair index, slots, and row → slot map."""
         if self._pair_slots is not None:
             return
-        if self._pair_index is None:
-            buckets: Dict[Tuple[str, str], List[int]] = {}
-            for row, record in enumerate(self._records):
-                buckets.setdefault(
-                    (record.region, record.source), []
-                ).append(row)
-            self._pair_index = {
-                key: np.asarray(rows, dtype=np.intp)
-                for key, rows in buckets.items()
-            }
+        self._pair_index = _group_rows(map(_PAIR, self._records))
         self._pair_keys = tuple(sorted(self._pair_index))
         self._pair_slots = {
             key: slot for slot, key in enumerate(self._pair_keys)

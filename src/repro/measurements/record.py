@@ -20,6 +20,8 @@ from typing import Any, Dict, Mapping, Optional
 from repro.core.exceptions import SchemaError
 from repro.core.metrics import Metric
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -42,20 +44,38 @@ class Measurement:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Each range check is written so that NaN and ±inf fail it: NaN
+        # is the columnar plane's missing-value sentinel, and an
+        # infinity turns interpolated percentiles into NaN.
         if not self.region:
             raise SchemaError("measurement requires a region")
         if not self.source:
             raise SchemaError("measurement requires a source dataset name")
-        if all(self.value(m) is None for m in Metric):
+        if not -_INF < self.timestamp < _INF:
+            raise SchemaError(f"non-finite timestamp: {self.timestamp}")
+        download, upload = self.download_mbps, self.upload_mbps
+        latency, loss = self.latency_ms, self.packet_loss
+        if (
+            download is None
+            and upload is None
+            and latency is None
+            and loss is None
+        ):
             raise SchemaError("measurement carries no metric values")
-        for metric in (Metric.DOWNLOAD, Metric.UPLOAD):
-            value = self.value(metric)
-            if value is not None and value < 0:
-                raise SchemaError(f"negative {metric.value}: {value}")
-        latency = self.value(Metric.LATENCY)
-        if latency is not None and latency <= 0:
-            raise SchemaError(f"non-positive latency_ms: {latency}")
-        loss = self.value(Metric.PACKET_LOSS)
+        for metric, value in (
+            (Metric.DOWNLOAD, download),
+            (Metric.UPLOAD, upload),
+        ):
+            if value is not None and not 0.0 <= value < _INF:
+                raise SchemaError(
+                    f"{'negative' if value < 0 else 'non-finite'} "
+                    f"{metric.value}: {value}"
+                )
+        if latency is not None and not 0.0 < latency < _INF:
+            raise SchemaError(
+                f"{'non-positive' if latency <= 0 else 'non-finite'} "
+                f"latency_ms: {latency}"
+            )
         if loss is not None and not 0.0 <= loss <= 1.0:
             raise SchemaError(f"packet_loss outside [0, 1]: {loss}")
 

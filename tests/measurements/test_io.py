@@ -1,10 +1,16 @@
 """Unit tests for repro.measurements.io (JSONL and CSV round trips)."""
 
+import csv
+import json
+
+import numpy as np
 import pytest
 
 from repro.core.exceptions import SchemaError
 from repro.measurements.collection import MeasurementSet
+from repro.measurements.columnar import ColumnarStore
 from repro.measurements.io import (
+    CSV_FIELDS,
     IngestStats,
     csv_row_to_measurement,
     iter_csv,
@@ -212,3 +218,81 @@ class TestCsvRowToMeasurement:
             csv_row_to_measurement(
                 {"region": "r1", "source": "ndt", "timestamp": "nope"}
             )
+
+
+class TestNonFiniteValues:
+    """NaN and ±Infinity (JSON literals, CSV ``nan``/``inf``) are rejected.
+
+    NaN is the columnar plane's missing-value sentinel, so an accepted
+    NaN row would count differently in the exact and sketch planes.
+    """
+
+    GOOD = {
+        "region": "r1",
+        "source": "ndt",
+        "timestamp": 1.0,
+        "download_mbps": 40.0,
+        "latency_ms": 20.0,
+    }
+    BAD = (
+        ("download_mbps", float("nan"), "non-finite download_mbps"),
+        ("latency_ms", float("inf"), "non-finite latency_ms"),
+        ("upload_mbps", float("inf"), "non-finite upload_mbps"),
+        ("timestamp", float("-inf"), "non-finite timestamp"),
+    )
+
+    def _documents(self):
+        documents = [dict(self.GOOD)]
+        for field, value, _ in self.BAD:
+            documents.append({**self.GOOD, field: value})
+            documents.append(dict(self.GOOD, download_mbps=60.0))
+        return documents
+
+    @staticmethod
+    def _assert_planes_agree(records):
+        """Exact and sketch planes count the 5 kept rows alike."""
+        store = ColumnarStore(list(records))
+        percentiles = (50.0, 50.0, 50.0, 50.0)
+        exact = store.aggregate_cube(("ndt",), percentiles)
+        sketch = store.sketch_plane().aggregate_cube(("ndt",), percentiles)
+        assert np.array_equal(exact.counts, sketch.counts)
+        assert exact.counts[0, 0].tolist() == [5, 0, 5, 0]
+        assert not np.isnan(exact.aggregates[exact.counts > 0]).any()
+
+    def test_jsonl_literals_skipped_or_raised(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        # json.dumps writes NaN / Infinity / -Infinity literals.
+        path.write_text(
+            "".join(json.dumps(doc) + "\n" for doc in self._documents())
+        )
+        stats = IngestStats()
+        records = read_jsonl(path, on_error="skip", stats=stats)
+        assert (stats.read, stats.skipped) == (5, 4)
+        self._assert_planes_agree(records)
+        with pytest.raises(SchemaError, match=":2: non-finite download_mbps"):
+            read_jsonl(path)
+
+    def test_csv_cells_skipped_or_raised(self, tmp_path):
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS)
+            writer.writeheader()
+            for doc in self._documents():
+                # repr() writes the cells as nan / inf / -inf.
+                writer.writerow(
+                    {
+                        key: repr(value) if isinstance(value, float) else value
+                        for key, value in doc.items()
+                    }
+                )
+        stats = IngestStats()
+        records = read_csv(path, on_error="skip", stats=stats)
+        assert (stats.read, stats.skipped) == (5, 4)
+        self._assert_planes_agree(records)
+        with pytest.raises(SchemaError, match=":3: non-finite download_mbps"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("field, value, message", BAD)
+    def test_record_names_the_field(self, field, value, message):
+        with pytest.raises(SchemaError, match=message):
+            Measurement.from_dict({**self.GOOD, field: value})
