@@ -1,28 +1,32 @@
-"""Kernel benchmarks: exact vs vectorized batch scoring at 16/64/256 regions.
+"""Kernel benchmarks: scalar oracle vs scoring kernel at 16/64/256 regions.
 
-Two kinds of comparison live here:
+Production scoring runs one implementation, the batched kernel
+(:mod:`repro.core.kernel`); the scalar Eq. 1-4 walk survives as the
+test oracle in ``tests/core/scalar_oracle.py``. The ``exact`` benches
+time that oracle, so the kernel's win over the per-region walk stays
+measured. Two kinds of comparison live here:
 
 * pytest-benchmark entries (tracked by ``compare_bench`` against
-  ``BENCH_baseline.json``) covering both kernels at each batch size,
-  plus the scores-only kernel path at 256 regions. Both kernels are
-  timed end to end — fresh :class:`ColumnarStore` each round, so
+  ``BENCH_baseline.json``) covering the oracle and the kernel at each
+  batch size, plus the scores-only kernel path at 256 regions. Both
+  are timed end to end — fresh :class:`ColumnarStore` each round, so
   grouping, the store-wide metric sorts, and aggregation are all
   inside the measurement, exactly like a cold national refresh.
 * a speedup assertion (``test_vectorized_kernel_speedup_256``) that
-  interleaves CPU-time measurements of both kernels on the 256-region
-  batch and enforces the kernel's headline win.
+  interleaves CPU-time measurements of the oracle and the kernel on
+  the 256-region batch and enforces the kernel's headline win.
 
-On the speedup contract: the two kernels return bit-identical
-``ScoreBreakdown`` trees, and reconstructing those ~25k dataclass
-objects is a fixed Python-side cost *shared* by any path that outputs
-trees — tree-for-tree the vectorized kernel wins by the tensor math
-alone. The barometer-refresh workload the ROADMAP targets ("composite
-scores for every region, continuously") does not need the trees, and
-the exact path has no cheaper way to produce a composite score than
+On the speedup contract: the oracle and the kernel return
+bit-identical ``ScoreBreakdown`` trees, and reconstructing those ~25k
+dataclass objects is a fixed Python-side cost *shared* by any path that
+outputs trees — tree-for-tree the kernel wins by the tensor math alone.
+The barometer-refresh workload the ROADMAP targets ("composite scores
+for every region, continuously") does not need the trees, and the
+scalar walk has no cheaper way to produce a composite score than
 scoring the full region. That asymmetric capability is the kernel's
 real speedup, and it is what the >= 5x assertion measures:
-``score_values`` (vectorized, scores only) against the exact path's
-only route to the same scores.
+``score_values`` (scores only) against the scalar walk's only route to
+the same scores.
 """
 
 import gc
@@ -36,9 +40,11 @@ from repro.core.scoring import score_regions
 from repro.measurements.columnar import ColumnarStore
 from repro.netsim import CampaignConfig, region_preset, simulate_region
 
+from tests.core import scalar_oracle
+
 #: Records per region are kept small so the benches isolate scoring
 #: cost (which scales with regions) from sorting cost (which scales
-#: with samples and is shared by both kernels anyway).
+#: with samples and is shared by the oracle and the kernel anyway).
 _CAMPAIGN = CampaignConfig(subscribers=3, tests_per_client=3)
 _SEED = 42
 
@@ -71,8 +77,16 @@ def batch(request):
     return request.param, _batch(request.param)
 
 
+#: The scorer behind each bench name: the scalar oracle keeps the
+#: ``exact`` name it had when it was a runtime-selectable kernel.
+_SCORERS = {
+    "exact": scalar_oracle.score_regions,
+    "vectorized": score_regions,
+}
+
+
 def _score(records, config, kernel):
-    return score_regions(ColumnarStore(records), config, kernel=kernel)
+    return _SCORERS[kernel](ColumnarStore(records), config)
 
 
 #: CPU time, not wall time: these benches feed a ratio gate

@@ -119,8 +119,6 @@ def national_breakdown(
     records: "MeasurementSet",
     populations: Mapping[str, float],
     config: Optional["IQBConfig"] = None,
-    workers: int = 1,
-    kernel: str = "vectorized",
 ) -> Tuple[NationalScore, Dict[str, "ScoreBreakdown"]]:
     """Score a whole national measurement batch and roll it up.
 
@@ -134,13 +132,6 @@ def national_breakdown(
         ``(national, breakdowns)`` — the roll-up plus every region's
         full :class:`~repro.core.scoring.ScoreBreakdown` for drill-down.
 
-    Args:
-        workers: forwarded to :func:`repro.core.scoring.score_regions`;
-            ``> 1`` shards the regional scoring across a worker pool
-            with bit-identical results.
-        kernel: batch-scoring kernel, likewise forwarded (identical
-            roll-up either way).
-
     Raises:
         DataError: on empty input or missing populations (see
             :func:`national_score`).
@@ -149,10 +140,7 @@ def national_breakdown(
     from repro.core.scoring import score_regions
 
     with span("national_breakdown") as stage:
-        breakdowns = score_regions(
-            records, config or paper_config(), workers=workers,
-            kernel=kernel,
-        )
+        breakdowns = score_regions(records, config or paper_config())
         with span("rollup"):
             national = national_score(
                 {region: b.value for region, b in breakdowns.items()},

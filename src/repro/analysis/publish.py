@@ -27,9 +27,7 @@ def build_publication(
     config: Optional[IQBConfig] = None,
     populations: Optional[Mapping[str, float]] = None,
     title: str = "Internet Quality Barometer report",
-    workers: int = 1,
     breakdowns: Optional[Mapping[str, ScoreBreakdown]] = None,
-    kernel: str = "vectorized",
 ) -> str:
     """Assemble the full Markdown publication for a measurement set.
 
@@ -38,14 +36,10 @@ def build_publication(
         config: scoring config (default: the paper's).
         populations: region → population; when provided, a national
             roll-up section is included.
-        workers: forwarded to the batch scorer; ``> 1`` shards regional
-            scoring across a worker pool (identical document).
         breakdowns: pre-computed per-region breakdowns; when given the
             batch scorer is skipped (callers that already scored —
             e.g. to register degraded regions in a run manifest —
             publish without paying for a second pass).
-        kernel: batch-scoring kernel forwarded to the scorer when
-            ``breakdowns`` is not supplied (identical document).
 
     Raises:
         DataError: when the measurement set is empty (nothing to
@@ -56,9 +50,7 @@ def build_publication(
         # Batch fast path: one grouping pass + shared columns for all
         # regions.
         if breakdowns is None:
-            breakdowns = score_regions(
-                records, config, workers=workers, kernel=kernel
-            )
+            breakdowns = score_regions(records, config)
         stage.annotate(regions=len(breakdowns))
 
         with span("publish_render"):

@@ -114,28 +114,18 @@ def _opportunity_section(breakdown: ScoreBreakdown) -> List[str]:
 def comparison_report(
     records: MeasurementSet,
     config: Optional[IQBConfig] = None,
-    workers: int = 1,
-    kernel: str = "vectorized",
     quantiles: Optional[str] = None,
 ) -> str:
     """Side-by-side score table for every region in a measurement set.
 
-    ``workers > 1`` shards the batch scoring across a worker pool,
-    ``kernel`` selects the batch-scoring kernel (identical table either
-    way), and ``quantiles`` overrides the config's exact/sketch
-    quantile-plane policy.
+    ``quantiles`` overrides the config's exact/sketch quantile-plane
+    policy.
     """
     config = config or paper_config()
     # Batch fast path: group once, score every region off shared columns.
     # An empty set renders as an empty table, matching the old loop.
     breakdowns = (
-        score_regions(
-            records,
-            config,
-            workers=workers,
-            kernel=kernel,
-            quantiles=quantiles,
-        )
+        score_regions(records, config, quantiles=quantiles)
         if len(records)
         else {}
     )

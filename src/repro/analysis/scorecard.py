@@ -83,17 +83,15 @@ def build_scorecard(
 def build_scorecards(
     records: MeasurementSet,
     config: Optional[IQBConfig] = None,
-    kernel: str = "vectorized",
 ) -> Dict[str, Scorecard]:
     """Scorecards for every region of a batch, off shared columns.
 
     The comparison-site workload: one national measurement batch in,
     one label per region out. Grouping and quantile aggregation are
-    shared across regions via :func:`repro.core.scoring.score_regions`
-    (``kernel`` selects its batch kernel; identical labels either way).
+    shared across regions via :func:`repro.core.scoring.score_regions`.
     """
     config = config or paper_config()
-    breakdowns = score_regions(records, config, kernel=kernel)
+    breakdowns = score_regions(records, config)
     by_region = records.group_by_region()
     return {
         region: scorecard_from_breakdown(

@@ -52,10 +52,12 @@ Subcommands:
 Global flags: ``--log-level {debug,info,warning,error}`` and
 ``--log-json`` configure structured logging for every subcommand
 (events go to stderr; stdout stays clean for command output);
-``--workers N`` shards measurement ingest, batch region scoring, and
-campaign simulation across a forked worker pool (``N <= 1`` keeps
-everything in-process; results are identical either way and worker
-telemetry merges back into the run's metrics).
+``--workers N`` shards measurement ingest and campaign simulation
+across a forked worker pool (``N <= 1`` keeps everything in-process;
+results are identical either way and worker telemetry merges back into
+the run's metrics). Scoring always runs in-process: sharding it by
+region cost more in fork and merge overhead than it saved (see "Sizing
+``--workers``" in docs/deployment.md).
 Live-operations flags, also global:
 
 * ``--telemetry-port N`` — serve ``/metrics`` (Prometheus),
@@ -257,19 +259,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
         from repro.core.scoring import score_regions
 
         breakdowns = (
-            score_regions(
-                records,
-                config,
-                workers=args.workers,
-                kernel=args.kernel,
-                quantiles=args.quantiles,
-            )
+            score_regions(records, config, quantiles=args.quantiles)
             if len(records)
             else {}
         )
         _record_degraded(breakdowns)
         document = {
-            "kernel": args.kernel,
             "regions": {
                 region: breakdown.to_dict()
                 for region, breakdown in breakdowns.items()
@@ -279,15 +274,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             document["quantiles"] = args.quantiles
         print(json_module.dumps(document, indent=2, sort_keys=True))
     else:
-        print(
-            comparison_report(
-                records,
-                config,
-                workers=args.workers,
-                kernel=args.kernel,
-                quantiles=args.quantiles,
-            )
-        )
+        print(comparison_report(records, config, quantiles=args.quantiles))
     return 0
 
 
@@ -445,20 +432,10 @@ def _cmd_publish(args: argparse.Namespace) -> int:
                 str(region): float(value)
                 for region, value in json_module.load(handle).items()
             }
-    breakdowns = score_regions(
-        records,
-        config,
-        workers=args.workers,
-        kernel=args.kernel,
-        quantiles=args.quantiles,
-    )
+    breakdowns = score_regions(records, config, quantiles=args.quantiles)
     _record_degraded(breakdowns)
     document = build_publication(
-        records,
-        config,
-        populations=populations,
-        workers=args.workers,
-        breakdowns=breakdowns,
+        records, config, populations=populations, breakdowns=breakdowns
     )
     if args.output:
         atomic_write(args.output, document + "\n")
@@ -781,9 +758,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store,
         config,
         populations=populations,
-        kernel=args.kernel,
         quantiles=args.quantiles,
-        workers=args.workers,
         cache_size=args.cache_size,
         batch_window_s=args.batch_window,
     )
@@ -1047,13 +1022,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 records = sink.as_set()
         with span("score"):
             if len(records):
-                score_regions(
-                    records,
-                    config,
-                    workers=args.workers,
-                    kernel=args.kernel,
-                    quantiles=args.quantiles,
-                )
+                score_regions(records, config, quantiles=args.quantiles)
     chosen = args.format or ("text" if args.text else "json")
     if chosen == "prom":
         print(REGISTRY.render_prometheus(), end="")
@@ -1318,18 +1287,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard ingest, batch scoring, and simulation across N "
+        help="shard measurement ingest and simulation across N "
         "forked worker processes (default 1 = fully in-process; "
-        "results are identical either way)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("vectorized", "exact"),
-        default="vectorized",
-        help="batch-scoring kernel: the batched numpy kernel (default) "
-        "or the scalar reference path; breakdowns are identical "
-        "either way (the choice is recorded in --json output and "
-        "run manifests)",
+        "results are identical either way; scoring always runs "
+        "in-process)",
     )
     parser.add_argument(
         "--quantiles",
@@ -1885,7 +1846,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     setup_logging(level=args.log_level, json_mode=args.log_json)
     _RUN = RunContext(argv if argv is not None else sys.argv[1:])
-    _RUN.set_kernel(args.kernel)
     _RUN.set_quantiles(args.quantiles)
     recorder: Optional[TraceRecorder] = None
     if args.trace_out:

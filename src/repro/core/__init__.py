@@ -67,8 +67,6 @@ from .scoring import (
     flat_score,
     score_region,
     score_regions,
-    score_requirement,
-    score_use_case,
 )
 from .thresholds import (
     RangePolicy,
@@ -152,8 +150,6 @@ __all__ = [
     "requirement_contributions",
     "score_region",
     "score_regions",
-    "score_requirement",
-    "score_use_case",
     "threshold_gaps",
     "verdict_margins",
 ]

@@ -1,10 +1,8 @@
 """Batched numpy scoring kernel: Eqs. 1-5 over every region at once.
 
-The scalar path (:mod:`repro.core.scoring`) walks region → use case →
-requirement → dataset in Python, re-querying config dicts and building
-dataclasses cell by cell. At barometer scale that loop *is* the cost of
-a refresh, so this module re-expresses the same math as dense tensor
-operations:
+The kernel is the one implementation of Eqs. 1-4. It expresses the
+tier-by-tier math (region → use case → requirement → dataset) as dense
+tensor operations over every region at once:
 
 * :class:`CompiledConfig` — :class:`~repro.core.config.IQBConfig`
   precompiled once into aligned numpy tensors: the dataset-weight
@@ -14,31 +12,36 @@ operations:
   percentile per metric, and the positively-weighted dataset mask that
   drives degraded-mode detection.
 * :func:`score_cube` — consumes an aggregate cube ``A[region, dataset,
-  metric]`` (plus sample counts) produced by
-  ``ColumnarStore.aggregate_cube`` and evaluates every verdict,
+  metric]`` (plus sample counts) and evaluates every verdict,
   requirement, use case, and composite score as masked matrix ops:
   threshold compares for BINARY, the two-tier compare for GRADED, the
   piecewise ramp for CONTINUOUS, and the three weighted-average tiers
   (Eq. 1 → Eq. 2-3 → Eq. 4) with missing cells masked out of each
   normalization (degraded-mode renormalization).
 
-Numerical contract — the whole point of keeping the scalar path as the
-oracle: for a given batch the kernel reconstructs ``ScoreBreakdown``
-trees that are *bit-identical* to the scalar path's under BINARY and
-GRADED scoring, and within 1e-12 under CONTINUOUS (in practice also
-bit-identical; the documented tolerance covers summation-order changes
-on axes longer than numpy's sequential-sum cutoff). Three facts make
-this work:
+Every input reaches the kernel as a cube: ``ColumnarStore`` and
+``SketchPlane`` build theirs (:func:`score_store`), and opaque
+QuantileSources fill one through :func:`source_cube`.
+
+Numerical contract: the kernel's ``ScoreBreakdown`` trees are
+*bit-identical* to the scalar tier-by-tier walk kept as the test
+oracle (``tests/core/scalar_oracle.py``; parity in
+``tests/core/test_kernel_parity.py`` and
+``tests/core/test_entry_points.py``) under BINARY and GRADED scoring,
+and within 1e-12 under CONTINUOUS (in practice also bit-identical; the
+documented tolerance covers summation-order changes on dataset axes
+longer than numpy's sequential-sum cutoff). Three facts make this work:
 
 1. the cube's quantiles replicate
    :func:`~repro.core.aggregation._interpolate_sorted` operation for
-   operation over the same sorted values;
+   operation over the same sorted values (or are the sources' own
+   answers, for :func:`source_cube`);
 2. every weighted sum runs over a fixed short axis (4 requirements, 6
    use cases, the configured datasets) where numpy reduces in the same
    sequential order as the scalar ``sum``; masked-out cells contribute
    an exact ``0.0``, which is additively inert;
-3. the error paths raise the scalar path's exact exceptions in the
-   scalar path's encounter order (region, use case, requirement).
+3. the error paths raise the scalar walk's exact exceptions in its
+   encounter order (region, use case, requirement).
 
 The kernel stays in ``repro.core``: it never imports the measurements
 layer, it only consumes the cube arrays handed to it (duck-typed via
@@ -47,20 +50,21 @@ layer, it only consumes the cube arrays handed to it (duck-typed via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import counter, span
 
+from .aggregation import QuantileSource
 from .config import IQBConfig, MissingDataPolicy, QuantileMode, ScoreMode
 from .exceptions import DataError
 from .metrics import Direction, Metric
 from .quality import QualityLevel
 from .scoring import (
     _REGION_SCORES,
-    KERNELS,
     DatasetVerdict,
     RequirementScore,
     ScoreBreakdown,
@@ -72,19 +76,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Span
 
 __all__ = [
-    "KERNELS",
     "CompiledConfig",
     "compile_config",
     "score_cube",
     "score_cube_values",
     "score_store",
     "score_values",
+    "source_cube",
 ]
 
-# The vectorized path answers the six-use-case percentile fan-out from
-# the shared aggregate cube instead of per-view memo dicts; the reuse is
+# The kernel answers the six-use-case percentile fan-out from the
+# shared aggregate cube instead of per-view memo dicts; the reuse is
 # reported on the same counter the view cache uses so the quantile-plane
-# telemetry stays comparable across kernels.
+# telemetry stays comparable with per-view scoring.
 _CUBE_FANOUT_HITS = counter("quantile_cache.columnar.hits")
 
 
@@ -124,7 +128,7 @@ class CompiledConfig:
     missing_data: MissingDataPolicy
     # Raw integers and Python lists for reconstruction (no ndarray
     # scalars may leak into breakdowns: json needs bool/int, and the
-    # scalar path's dataclasses carry Python types).
+    # breakdown dataclasses carry Python types).
     dataset_w_int: Tuple[Tuple[Tuple[int, ...], ...], ...]
     req_w_int: Tuple[Tuple[int, ...], ...]
     uc_w_int: Tuple[int, ...]
@@ -219,9 +223,8 @@ def _verdict_scores(
     ``aggregates`` is broadcast as (G, 1, R, D) with NaN where a dataset
     did not observe a metric; NaN cells produce garbage scores that the
     caller masks out, so every comparison/division runs under errstate
-    suppression. Each arithmetic branch replicates the scalar
-    :func:`repro.core.scoring._verdict_value` /
-    :func:`repro.core.scoring._continuous_value` expression op for op.
+    suppression. Each arithmetic branch replicates the oracle's
+    ``_verdict_value`` / ``_continuous_value`` expression op for op.
     """
     thr = cc.thr_scored[None, :, :, None]
     higher = cc.higher[None, None, :, None]
@@ -289,11 +292,11 @@ def score_cube(
 
     Returns:
         region → :class:`ScoreBreakdown`, reconstructed to match the
-        scalar path object for object (see the module contract).
+        scalar oracle object for object (see the module contract).
 
     Raises:
         DataError: exactly where and with exactly the message the
-            scalar path raises — empty batches, STRICT missing data,
+            scalar oracle raises — empty batches, STRICT missing data,
             use cases with no data or only zero-weight requirements.
     """
     cc, tensors = _score_tensors(regions, aggregates, counts, config)
@@ -368,7 +371,7 @@ def _score_tensors(
     observed_req = observed.any(axis=3)
 
     # Eq. 2 — use-case scores over the contributing requirements,
-    # with the scalar path's error taxonomy in its encounter order.
+    # with the scalar oracle's error taxonomy in its encounter order.
     if policy is MissingDataPolicy.FAIL:
         contributing = np.ones_like(observed_req)
     else:
@@ -403,7 +406,7 @@ def _raise_first_error(
     any_contrib: np.ndarray,
     cc: CompiledConfig,
 ) -> None:
-    """Raise the scalar path's first error, in its (g, u, r) order."""
+    """Raise the scalar oracle's first error, in its (g, u, r) order."""
     g, u = (int(i) for i in np.argwhere(bad)[0])
     missing = ~observed_req[g, u]
     if cc.missing_data is MissingDataPolicy.STRICT and missing.any():
@@ -437,7 +440,7 @@ def _rebuild(
     fail_policy: bool,
     quantile_source: str = "exact",
 ) -> Dict[str, ScoreBreakdown]:
-    """Reconstruct the scalar path's breakdown trees from kernel output.
+    """Reconstruct the breakdown trees from kernel output.
 
     All inputs arrive pre-``tolist()``-ed so the loop touches only
     Python floats/bools/ints (aggregates and counts already transposed
@@ -585,6 +588,52 @@ def _templates(cc: CompiledConfig):
     return cached
 
 
+def source_cube(
+    grouped: Mapping[Optional[str], Mapping[str, QuantileSource]],
+    cc: CompiledConfig,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(aggregates, counts)`` cube over opaque QuantileSources.
+
+    ``grouped`` maps region → dataset → source, one cube row per region
+    in iteration order (``None`` names the single region of
+    :func:`~repro.core.scoring.score_region`). Each source is asked
+    ``.quantile(metric, percentile)`` and ``.sample_count(metric)``
+    once per (dataset, metric) cell that carries positive weight in
+    some use case — exactly the cells Eq. 1 reads. Every other cell,
+    and every cell a source answers ``None`` for, stays NaN / 0, the
+    cube's missing-observation sentinel.
+
+    Raises:
+        DataError: when a source answers a non-finite quantile, naming
+            the region, dataset and metric: a NaN would otherwise read
+            as "no observations" instead of a failed verdict.
+    """
+    weighted = (cc.dataset_w > 0.0).any(axis=0).T.tolist()  # (D, R)
+    shape = (len(grouped), len(cc.datasets), len(cc.metrics))
+    aggregates = np.full(shape, np.nan, dtype=np.float64)
+    counts = np.zeros(shape, dtype=np.int64)
+    for g, (region, sources) in enumerate(grouped.items()):
+        for d, dataset in enumerate(cc.datasets):
+            source = sources.get(dataset)
+            if source is None:
+                continue
+            for r, metric in enumerate(cc.metrics):
+                if not weighted[d][r]:
+                    continue
+                value = source.quantile(metric, cc.percentiles[r])
+                if value is None:
+                    continue
+                if not math.isfinite(value):
+                    where = "" if region is None else f" in region {region!r}"
+                    raise DataError(
+                        f"non-finite {metric.value} quantile {float(value)} "
+                        f"from dataset {dataset!r}{where}"
+                    )
+                aggregates[g, d, r] = value
+                counts[g, d, r] = source.sample_count(metric)
+    return aggregates, counts
+
+
 def _resolve_cube(
     store: "object",
     cc: CompiledConfig,
@@ -667,11 +716,7 @@ def score_store(
     # rest are served by the shared cube.
     _CUBE_FANOUT_HITS.inc((len(cc.use_cases) - 1) * cube.cells)
     if stage is not None:
-        stage.annotate(
-            regions=len(cube.regions),
-            kernel="vectorized",
-            quantiles=source,
-        )
+        stage.annotate(regions=len(cube.regions), quantiles=source)
     with span("score_cube"):
         return score_cube(
             cube.regions,

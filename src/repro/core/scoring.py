@@ -16,6 +16,14 @@ Every intermediate value is retained in the returned
 explainability: a decision-maker must be able to ask *why* a region
 scored 0.62.
 
+One implementation computes Eqs. 1-4: the batched kernel in
+:mod:`repro.core.kernel`, run over an aggregate cube
+``A[region, dataset, metric]``. Every entry point reduces its input to
+such a cube first — :func:`score_regions` from a measurement store, a
+sketch plane or a pre-grouped source mapping, and :func:`score_region`
+from one region's sources. The scalar tier-by-tier walk is kept as the
+test oracle (``tests/core/scalar_oracle.py``).
+
 Missing data: a dataset whose weight is positive but which carries no
 observations for a metric silently drops out of Eq. 1's normalization
 (corroboration over the datasets that *did* measure). When **no**
@@ -30,30 +38,19 @@ cross-check; tests assert it always equals the tier-by-tier result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.obs import counter, gauge, span, timer
 
-from .aggregation import aggregate_metric
-from .config import (
-    IQBConfig,
-    MissingDataPolicy,
-    QuantileMode,
-    QuantilePolicy,
-    ScoreMode,
-)
+from .aggregation import QuantileSource
+from .config import IQBConfig, QuantileMode
 from .exceptions import DataError
 from .metrics import Metric
-from .quality import QualityLevel, credit_scale, grade
+from .quality import credit_scale, grade
 from .usecases import UseCase
 
 _REGION_SCORES = counter("scoring.region_scores")
 _BATCH_REGIONS = counter("scoring.batch.regions")
-
-#: Batch-scoring kernels ``score_regions`` accepts: the batched numpy
-#: kernel (:mod:`repro.core.kernel`) and the scalar oracle in this
-#: module. The two are bit-parity twins (see tests/core/test_kernel_parity).
-KERNELS = ("vectorized", "exact")
 
 #: Quantile planes ``score_regions`` can source aggregates from: the
 #: exact sorted columnar plane (the oracle) and the streaming t-digest
@@ -71,9 +68,6 @@ _DEGRADED_REGIONS = gauge("score.degraded.regions")
 # health subsystem's latency SLO rules — p95 of this timer against a
 # declared budget is what "serving scores on time" means.
 _SCORE_LATENCY = timer("score.latency")
-
-# QuantileSource is a Protocol; imported for typing clarity only.
-from .aggregation import QuantileSource
 
 
 @dataclass(frozen=True)
@@ -302,177 +296,6 @@ class ScoreBreakdown:
             raise DataError(f"malformed breakdown document: {exc}") from exc
 
 
-def score_requirement(
-    use_case: UseCase,
-    metric: Metric,
-    sources: Mapping[str, QuantileSource],
-    config: IQBConfig,
-) -> RequirementScore:
-    """Compute ``S_{u,r}`` (Eq. 1) for one requirement of one use case.
-
-    Datasets participate when their configured weight ``w_{u,r,d}`` is
-    positive *and* they carry observations for the metric; Eq. 1's
-    normalization runs over exactly those datasets.
-    """
-    threshold = config.threshold_value(use_case, metric)
-    verdicts: List[DatasetVerdict] = []
-    for dataset in sorted(sources):
-        weight = config.dataset_weights.get(use_case, metric, dataset)
-        if weight <= 0:
-            continue
-        source = sources[dataset]
-        aggregate = aggregate_metric(source, metric, config.aggregation)
-        if aggregate is None:
-            continue
-        value = _verdict_value(use_case, metric, aggregate, config)
-        verdicts.append(
-            DatasetVerdict(
-                dataset=dataset,
-                aggregate=aggregate,
-                threshold=threshold,
-                passed=value == 1.0,
-                weight=weight,
-                sample_count=source.sample_count(metric),
-                score=value,
-            )
-        )
-    weight = config.requirement_weights.get(use_case, metric)
-    if not verdicts:
-        return RequirementScore(
-            metric=metric,
-            threshold=threshold,
-            value=_resolve_missing(use_case, metric, config),
-            weight=weight,
-            verdicts=(),
-        )
-    total = sum(v.weight for v in verdicts)
-    value = sum(v.weight * v.score for v in verdicts) / total
-    return RequirementScore(
-        metric=metric,
-        threshold=threshold,
-        value=value,
-        weight=weight,
-        verdicts=tuple(verdicts),
-    )
-
-
-def _verdict_value(
-    use_case: UseCase,
-    metric: Metric,
-    aggregate: float,
-    config: IQBConfig,
-) -> float:
-    """``S_{u,r,d}`` for one aggregate under the configured score mode.
-
-    BINARY (the paper): 1 when the configured quality level's threshold
-    is met, else 0. GRADED (documented extension): 1 at the high bar,
-    0.5 at the minimum bar, else 0 — strictly between the two binary
-    readings.
-    """
-    if config.score_mode is ScoreMode.BINARY:
-        return 1.0 if metric.meets(aggregate, config.threshold_value(use_case, metric)) else 0.0
-    high = config.thresholds.value(
-        use_case, metric, QualityLevel.HIGH, config.range_policy
-    )
-    minimum = config.thresholds.value(use_case, metric, QualityLevel.MINIMUM)
-    if config.score_mode is ScoreMode.CONTINUOUS:
-        return _continuous_value(metric, aggregate, minimum, high)
-    if metric.meets(aggregate, high):
-        return 1.0
-    if metric.meets(aggregate, minimum):
-        return 0.5
-    return 0.0
-
-
-def _continuous_value(
-    metric: Metric, aggregate: float, minimum: float, high: float
-) -> float:
-    """Piecewise-linear/ratio requirement score anchored at both tiers.
-
-    1.0 at (or beyond) the high tier; linear down to 0.5 at the minimum
-    tier; below minimum a proportional ramp toward 0 so a 5 Mb/s and a
-    0.5 Mb/s region no longer tie (the ext-qoe resolution finding).
-    For lower-is-better metrics the sub-minimum ramp is the reciprocal
-    ratio (score → 0 as the metric blows up). Degenerate cells where
-    the tiers coincide ramp straight from 0 to 1 at the single bar.
-    """
-    from .metrics import Direction
-
-    if metric.direction is Direction.HIGHER_IS_BETTER:
-        if aggregate >= high:
-            return 1.0
-        if aggregate >= minimum:
-            if high == minimum:
-                return 1.0
-            return 0.5 + 0.5 * (aggregate - minimum) / (high - minimum)
-        if minimum <= 0:
-            return 0.0
-        return 0.5 * max(0.0, aggregate) / minimum
-    # Lower is better (latency, loss).
-    if aggregate <= high:
-        return 1.0
-    if aggregate <= minimum:
-        if minimum == high:
-            return 1.0
-        return 0.5 + 0.5 * (minimum - aggregate) / (minimum - high)
-    if aggregate <= 0:
-        return 1.0  # unreachable for positive metrics; defensive
-    return 0.5 * minimum / aggregate
-
-
-def _resolve_missing(
-    use_case: UseCase, metric: Metric, config: IQBConfig
-) -> Optional[float]:
-    """Value of an unobserved requirement per the missing-data policy."""
-    policy = config.missing_data
-    if policy is MissingDataPolicy.SKIP:
-        return None
-    if policy is MissingDataPolicy.FAIL:
-        return 0.0
-    raise DataError(
-        f"no dataset observes {metric.value} for {use_case.value} "
-        f"and missing-data policy is strict"
-    )
-
-
-def score_use_case(
-    use_case: UseCase,
-    sources: Mapping[str, QuantileSource],
-    config: IQBConfig,
-) -> UseCaseScore:
-    """Compute ``S_u`` (Eq. 2) for one use case.
-
-    Requirements skipped for lack of data are excluded from the weighted
-    average; the remaining ``w_{u,r}`` renormalize over what was
-    observed.
-
-    Raises:
-        DataError: when *every* requirement of the use case is skipped.
-    """
-    requirements = tuple(
-        score_requirement(use_case, metric, sources, config)
-        for metric in Metric.ordered()
-    )
-    contributing = [r for r in requirements if r.value is not None]
-    if not contributing:
-        raise DataError(
-            f"no requirement of {use_case.value} has any data; "
-            f"cannot compute a use-case score"
-        )
-    total = sum(r.weight for r in contributing)
-    if total <= 0:
-        raise DataError(
-            f"all observed requirements of {use_case.value} have zero weight"
-        )
-    value = sum(r.weight * r.value for r in contributing) / total
-    return UseCaseScore(
-        use_case=use_case,
-        value=value,
-        weight=config.use_case_weights.get(use_case),
-        requirements=requirements,
-    )
-
-
 def score_region(
     sources: Mapping[str, QuantileSource],
     config: IQBConfig,
@@ -484,37 +307,27 @@ def score_region(
     to anything implementing the QuantileSource protocol — raw
     measurement collections, pre-computed aggregate tables, plain
     sequences via :class:`~repro.core.aggregation.SequenceSource`, or
-    streaming sketch views. ``quantile_source`` is a provenance stamp
-    recorded on the breakdown (the math is whatever the sources
-    answer); callers feeding sketch-backed sources pass ``"sketch"``.
+    streaming sketch views. The sources fill a one-region aggregate
+    cube (:func:`~repro.core.kernel.source_cube`) that the kernel
+    scores. ``quantile_source`` is a provenance stamp recorded on the
+    breakdown (the math is whatever the sources answer); callers
+    feeding sketch-backed sources pass ``"sketch"``.
+
+    Raises:
+        DataError: on empty ``sources``, on a non-finite quantile
+            answer, and where the missing-data policy or the weights
+            leave a use case without a score.
     """
     if not sources:
         raise DataError("score_region needs at least one dataset source")
-    _REGION_SCORES.inc()
+    # Imported lazily: the kernel imports this module's dataclasses.
+    from .kernel import score_cube, source_cube
+
     with _SCORE_LATENCY.time():
-        use_cases = tuple(
-            score_use_case(use_case, sources, config)
-            for use_case in UseCase.ordered()
-        )
-    total = sum(entry.weight for entry in use_cases)
-    value = sum(entry.weight * entry.value for entry in use_cases) / total
-    observed = {
-        verdict.dataset
-        for entry in use_cases
-        for req in entry.requirements
-        for verdict in req.verdicts
-    }
-    degraded = tuple(
-        dataset
-        for dataset in config.dataset_weights.positively_weighted()
-        if dataset not in observed
-    )
-    return ScoreBreakdown(
-        value=value,
-        use_cases=use_cases,
-        degraded_datasets=degraded,
-        quantile_source=quantile_source,
-    )
+        aggregates, counts = source_cube({None: sources}, config.compiled())
+        return score_cube(
+            (None,), aggregates, counts, config, quantile_source
+        )[None]
 
 
 def effective_modes(
@@ -535,137 +348,77 @@ def effective_modes(
     return (mode,) * len(cc.datasets)
 
 
-#: Backwards-compatible private alias (pre-serving-layer name).
-_effective_modes = effective_modes
-
-
-def _grouped_sources(
-    store: "object",
-    config: IQBConfig,
-    modes: Tuple[QuantileMode, ...],
-) -> Tuple[Mapping[str, Mapping[str, QuantileSource]], str]:
-    """(region → dataset → source, provenance label) honoring ``modes``.
-
-    The scalar kernel's plane selection: exact modes read the store's
-    columnar views, sketch modes read the attached sketch plane's
-    views, and a mixed policy stitches the two per dataset. Batch
-    datasets outside the configured axis keep their exact views (they
-    carry no weight, so only ``sample_count`` cosmetics could differ).
-    """
-    cc = config.compiled()
-    if all(mode is QuantileMode.EXACT for mode in modes):
-        return store.sources_by_region(), "exact"
-    native_sketch = getattr(store, "QUANTILE_SOURCE", "exact") == "sketch"
-    sketch = store if native_sketch else store.sketch_plane()
-    if all(mode is QuantileMode.SKETCH for mode in modes):
-        return sketch.sources_by_region(), "sketch"
-    exact_grouped = store.sources_by_region()
-    sketch_grouped = sketch.sources_by_region()
-    mode_of = dict(zip(cc.datasets, modes))
-    combined: Dict[str, Dict[str, QuantileSource]] = {}
-    for region, sources in exact_grouped.items():
-        row: Dict[str, QuantileSource] = {}
-        for dataset, view in sources.items():
-            if mode_of.get(dataset) is QuantileMode.SKETCH:
-                row[dataset] = sketch_grouped.get(region, {}).get(
-                    dataset, view
-                )
-            else:
-                row[dataset] = view
-        combined[region] = row
-    return combined, "mixed"
-
-
 def score_regions(
     records: "object",
     config: IQBConfig,
-    workers: int = 1,
-    kernel: str = "vectorized",
     quantiles: Optional[str] = None,
 ) -> Dict[str, ScoreBreakdown]:
     """Batch-score every region of a combined measurement batch (Eq. 4 each).
 
-    This is the columnar fast path for national refreshes: instead of
-    re-filtering and re-grouping the record stream once per region (the
-    ``for_region(...).group_by_source()`` loop), the batch is transposed
-    once into a :class:`~repro.measurements.columnar.ColumnarStore` and
-    every region is scored off shared per-metric planes — by default in
-    one batched numpy pass (:mod:`repro.core.kernel`).
+    The batch is reduced to one aggregate cube ``A[region, dataset,
+    metric]`` and every region is scored in one batched kernel pass
+    (:mod:`repro.core.kernel`). Record input is transposed once into a
+    :class:`~repro.measurements.columnar.ColumnarStore`, whose shared
+    per-metric planes answer every region's percentiles.
 
     Args:
         records: a :class:`~repro.measurements.collection.MeasurementSet`,
             any iterable of Measurement records, an already-built
-            ``ColumnarStore``, or a pre-grouped mapping
-            ``region → {dataset → QuantileSource}``.
+            ``ColumnarStore``, a
+            :class:`~repro.measurements.sketchplane.SketchPlane`, or a
+            pre-grouped mapping ``region → {dataset → QuantileSource}``.
+            Mapping sources are opaque: each fills its cube cells
+            through the QuantileSource protocol and is scored as given
+            (stamped ``"exact"``; ``quantiles`` does not apply).
         config: the scoring configuration applied to every region.
-        workers: when ``> 1``, regions are scored by a forked worker
-            pool (:mod:`repro.parallel`); the merged result is
-            bit-identical to the serial path, and worker telemetry
-            merges back into this process's registry.
-        kernel: ``"vectorized"`` (default) scores all regions in one
-            batched numpy pass over the store's aggregate cube;
-            ``"exact"`` runs the scalar reference loop. Pre-grouped
-            mappings carry opaque QuantileSources (not columnar
-            arrays), so they always fall back to the exact path; both
-            kernels produce identical breakdowns (tests assert
-            bit-equality for BINARY, ≤1e-12 for the graded modes).
         quantiles: global override of the config's
             :class:`~repro.core.config.QuantilePolicy` — ``"exact"``
             forces the sorted columnar plane for every dataset
             (bit-identical to pre-streaming output), ``"sketch"``
             forces the streaming t-digest plane, ``None`` (default)
             follows the config's per-dataset policy. A
-            :class:`~repro.measurements.sketchplane.SketchPlane` passed
-            as ``records`` always scores from its sketches (it has no
-            exact plane; requesting ``"exact"`` on one raises).
+            ``SketchPlane`` passed as ``records`` always scores from
+            its sketches (it has no exact plane; requesting
+            ``"exact"`` on one raises).
 
     Returns:
-        region → :class:`ScoreBreakdown`, numerically identical to
-        calling :func:`score_region` per region on per-region groupings
-        (tests assert bit-equality).
+        region → :class:`ScoreBreakdown` in sorted region order,
+        identical to calling :func:`score_region` per region on
+        per-region groupings (tests assert bit-equality).
 
     Raises:
-        ValueError: on an unknown ``kernel`` name.
-        DataError: when the batch is empty — via :func:`score_region`.
-        repro.parallel.ShardError: when a worker shard fails
-            (``workers > 1`` only), naming the shard's regions.
+        ValueError: on an unknown ``quantiles`` name.
+        DataError: when the batch holds no regions, a mapping region
+            has no sources, a source answers a non-finite quantile, or
+            the missing-data policy or weights leave a use case without
+            a score.
     """
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown scoring kernel: {kernel!r} (have {KERNELS})"
-        )
     if quantiles is not None and quantiles not in QUANTILE_SOURCES:
         raise ValueError(
             f"unknown quantile source: {quantiles!r} "
             f"(have {QUANTILE_SOURCES})"
         )
     with span("score_regions") as stage:
-        if workers > 1:
-            # Imported lazily: repro.parallel sits above both core and
-            # measurements in the layering.
-            from repro.parallel.scoring import score_regions_parallel
-
-            merged = score_regions_parallel(
-                records,
-                config,
-                workers,
-                stage=stage,
-                kernel=kernel,
-                quantiles=quantiles,
-            )
-            _BATCH_REGIONS.inc(len(merged))
-            _DEGRADED_REGIONS.set(
-                float(sum(1 for b in merged.values() if b.degraded))
-            )
-            return merged
-        source_label = "exact"
         if isinstance(records, Mapping):
-            # Pre-grouped sources are opaque QuantileSources; only the
-            # scalar path can drive them (automatic exact fallback).
-            grouped: Mapping[str, Mapping[str, QuantileSource]] = records
+            # Imported lazily: the kernel imports this module's dataclasses.
+            from .kernel import score_cube, source_cube
+
+            regions = tuple(sorted(records))
+            if not all(records[region] for region in regions):
+                raise DataError(
+                    "score_region needs at least one dataset source"
+                )
+            stage.annotate(regions=len(regions), quantiles="exact")
+            with _SCORE_LATENCY.time():
+                with span("aggregate_cube"):
+                    aggregates, counts = source_cube(
+                        {region: records[region] for region in regions},
+                        config.compiled(),
+                    )
+                with span("score_cube"):
+                    scored = score_cube(regions, aggregates, counts, config)
         else:
-            # Imported lazily: repro.measurements depends on repro.core, so a
-            # module-level import here would be circular.
+            # Imported lazily: repro.measurements depends on repro.core.
             from repro.measurements.columnar import ColumnarStore
             from repro.measurements.sketchplane import SketchPlane
 
@@ -687,36 +440,12 @@ def score_regions(
                         if isinstance(records, ColumnarStore)
                         else ColumnarStore.from_measurements(records)  # type: ignore[arg-type]
                     )
-                    modes = _effective_modes(config, quantiles)
-                if kernel == "vectorized":
-                    from .kernel import score_store
+                    modes = effective_modes(config, quantiles)
+            from .kernel import score_store
 
-                    grouped = None
-                else:
-                    grouped, source_label = _grouped_sources(
-                        store, config, modes
-                    )
-            if grouped is None:
-                with _SCORE_LATENCY.time():
-                    scored = score_store(
-                        store, config, stage=stage, modes=modes
-                    )
-                _BATCH_REGIONS.inc(len(scored))
-                _DEGRADED_REGIONS.set(
-                    float(sum(1 for b in scored.values() if b.degraded))
-                )
-                return scored
-        if not grouped:
-            raise DataError("score_regions needs at least one region of data")
-        stage.annotate(regions=len(grouped))
-        _BATCH_REGIONS.inc(len(grouped))
-        with span("region_loop"):
-            scored = {
-                region: score_region(
-                    grouped[region], config, quantile_source=source_label
-                )
-                for region in sorted(grouped)
-            }
+            with _SCORE_LATENCY.time():
+                scored = score_store(store, config, stage=stage, modes=modes)
+        _BATCH_REGIONS.inc(len(scored))
         _DEGRADED_REGIONS.set(
             float(sum(1 for b in scored.values() if b.degraded))
         )

@@ -28,6 +28,7 @@ the offending field.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, Mapping, Optional
 
 from repro.core.exceptions import SchemaError
@@ -155,25 +156,27 @@ def ookla_tiles_to_aggregate(
     ``avg_lat_ms``, ``tests``.
 
     Raises:
-        SchemaError: on missing fields or an empty row set.
+        SchemaError: on missing, non-numeric or non-finite fields, or an
+            empty row set.
     """
     adapter = "ookla"
+
+    def finite(row: Mapping[str, Any], field: str) -> float:
+        value = _float(_require(row, field, adapter), field, adapter)
+        if not math.isfinite(value):
+            raise SchemaError(f"{adapter}: non-finite {field}: {value}")
+        return value
+
     downs: list = []
     ups: list = []
     lats: list = []
     for row in rows:
-        tests = int(_float(_require(row, "tests", adapter), "tests", adapter))
+        tests = int(finite(row, "tests"))
         if tests <= 0:
             raise SchemaError(f"{adapter}: tile has non-positive tests: {tests}")
-        down = _float(
-            _require(row, "avg_d_kbps", adapter), "avg_d_kbps", adapter
-        ) / 1000.0
-        up = _float(
-            _require(row, "avg_u_kbps", adapter), "avg_u_kbps", adapter
-        ) / 1000.0
-        lat = _float(
-            _require(row, "avg_lat_ms", adapter), "avg_lat_ms", adapter
-        )
+        down = finite(row, "avg_d_kbps") / 1000.0
+        up = finite(row, "avg_u_kbps") / 1000.0
+        lat = finite(row, "avg_lat_ms")
         downs.extend([down] * tests)
         ups.extend([up] * tests)
         lats.extend([lat] * tests)

@@ -22,6 +22,7 @@ pre-aggregated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -51,9 +52,13 @@ class MetricAggregate:
             raise SchemaError(f"quantile knots not sorted: {percentiles}")
         if len(set(percentiles)) != len(percentiles):
             raise SchemaError(f"duplicate quantile knots: {percentiles}")
-        for p, _ in self.knots:
+        for p, v in self.knots:
             if not 0.0 <= p <= 100.0:
                 raise SchemaError(f"knot percentile out of range: {p}")
+            # NaN would also break the sortedness check below, and the
+            # scoring cube reads NaN as "no observations".
+            if not math.isfinite(v):
+                raise SchemaError(f"non-finite knot value at p{p}: {v}")
         values = [v for _, v in self.knots]
         if values != sorted(values):
             raise SchemaError(

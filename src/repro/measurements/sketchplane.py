@@ -137,8 +137,9 @@ class SketchPlane:
     """Per-(region, dataset, metric) t-digests, updated per measurement.
 
     The streaming counterpart of :class:`~.columnar.ColumnarStore`:
-    same ``aggregate_cube`` / ``sources_by_region`` surface (so the
-    scoring kernel and the scalar scorer both consume it), but built by
+    same ``aggregate_cube`` / ``sources_by_region`` surface (the
+    scoring kernel reads the cube; per-region callers score the
+    views), but built by
     O(1)-amortized ``add`` instead of a batch transpose, and mergeable
     across shards and serializable into journals.
     """
@@ -212,7 +213,7 @@ class SketchPlane:
         return self._views.get((region, source)) or SketchView(self.delta)
 
     def sources_by_region(self) -> Dict[str, Dict[str, SketchView]]:
-        """region → dataset → QuantileSource, the scalar scoring plane."""
+        """region → dataset → QuantileSource, for per-region scoring."""
         grouped: Dict[str, Dict[str, SketchView]] = {}
         for (region, source), view in sorted(self._views.items()):
             grouped.setdefault(region, {})[source] = view

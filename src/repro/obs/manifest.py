@@ -113,16 +113,13 @@ class RunManifest:
     #: region → datasets that contributed nothing there (degraded-mode
     #: scoring); empty when every configured dataset reported everywhere.
     degraded: Dict[str, List[str]] = field(default_factory=dict)
-    #: Which batch-scoring kernel produced the run's scores
-    #: ("vectorized" / "exact"); None for runs that never scored and for
-    #: manifests written before the kernel existed. Provenance for perf
-    #: comparisons: ``iqb runs diff`` ratios are only apples-to-apples
-    #: when both runs name the same kernel.
-    kernel: Optional[str] = None
     #: Which quantile plane scored the run ("exact" / "sketch"); None
     #: when the run followed the config's per-dataset policy (or never
-    #: scored). Same apples-to-apples caveat as ``kernel``: sketch
-    #: scores are estimates, so diffs across planes are expected noise.
+    #: scored). Provenance for comparisons: ``iqb runs diff`` is only
+    #: apples-to-apples when both runs name the same plane, since
+    #: sketch scores are estimates and diffs across planes are
+    #: expected noise. Older manifests may also carry a ``kernel``
+    #: key; :meth:`from_dict` ignores it.
     quantiles: Optional[str] = None
     #: Dataset-cache provenance for ``--from-cache`` runs (and cache
     #: subcommands): the cache path and its manifest's signature digest
@@ -160,7 +157,6 @@ class RunManifest:
                 region: list(datasets)
                 for region, datasets in sorted(self.degraded.items())
             },
-            "kernel": self.kernel,
             "quantiles": self.quantiles,
             "cache": self.cache,
             "health": self.health,
@@ -184,7 +180,6 @@ class RunManifest:
                     document.get("degraded", {})
                 ).items()
             },
-            kernel=document.get("kernel"),
             quantiles=document.get("quantiles"),
             cache=document.get("cache"),
             health=document.get("health"),
@@ -225,7 +220,6 @@ class RunContext:
         self._inputs: List[Dict[str, object]] = []
         self._outputs: List[str] = []
         self._degraded: Dict[str, List[str]] = {}
-        self._kernel: Optional[str] = None
         self._quantiles: Optional[str] = None
         self._cache: Optional[Dict[str, Any]] = None
         self._health: Optional[Dict[str, Any]] = None
@@ -233,10 +227,6 @@ class RunContext:
     def set_config(self, config: "IQBConfig") -> None:
         """Record the scoring config this run used (last write wins)."""
         self._config = config
-
-    def set_kernel(self, kernel: str) -> None:
-        """Record which batch-scoring kernel the run selected."""
-        self._kernel = str(kernel)
 
     def set_quantiles(self, quantiles: Optional[str]) -> None:
         """Record the run's quantile-plane override (None = config)."""
@@ -320,7 +310,6 @@ class RunContext:
             outputs=tuple(self._outputs),
             metrics=registry.snapshot(),
             degraded=dict(self._degraded),
-            kernel=self._kernel,
             quantiles=self._quantiles,
             cache=self._cache,
             health=self._health,

@@ -1,14 +1,17 @@
-"""Sharded parallel execution: multi-worker scoring and ingest.
+"""Sharded parallel execution: multi-worker ingest, sketching, simulation.
 
 The pipeline's fan-out layer. :class:`ShardPlan` partitions work into
 disjoint, deterministic shards; :func:`run_sharded` executes a worker
 function over the shards in a forked process pool (payload delivered by
 fork inheritance, per-worker telemetry snapshots merged back into the
 parent registry, failures re-raised as :class:`ShardError` naming the
-failed shard's keys); :func:`score_regions_parallel` and the
-``read_*_parallel`` readers are the two fan-outs the CLI's global
-``--workers`` flag drives. Parallel output is bit-identical to serial
-output by construction — see each module's docstring for the argument.
+failed shard's keys). The fan-outs built on it are the
+``read_*_parallel`` readers (driven by the CLI's global ``--workers``
+flag), :func:`sketch_records_parallel`, and campaign simulation
+(:func:`repro.netsim.simulator.simulate_regions`). Scoring is not
+sharded: splitting it by region cost more in fork and merge overhead
+than it saved. Parallel output is bit-identical to serial output
+by construction — see each module's docstring for the argument.
 """
 
 from .ingest import (
@@ -18,7 +21,6 @@ from .ingest import (
 )
 from .plan import ShardPlan
 from .pool import ShardError, fork_available, run_sharded
-from .scoring import score_regions_parallel
 from .sketching import sketch_records_parallel
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
     "ShardError",
     "fork_available",
     "run_sharded",
-    "score_regions_parallel",
     "sketch_records_parallel",
     "read_jsonl_parallel",
     "read_csv_parallel",

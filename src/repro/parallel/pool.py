@@ -1,7 +1,8 @@
 """Sharded process-pool execution with merged telemetry.
 
 The execution layer under every parallel fan-out in the pipeline
-(region scoring, file ingest, campaign simulation). One call shape:
+(file ingest, sketch-plane building, campaign simulation). One call
+shape:
 
     results = run_sharded(worker, payload, shards, workers=N)
 

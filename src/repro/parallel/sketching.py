@@ -1,8 +1,7 @@
 """Parallel sketch-plane construction: shard by region, merge digests.
 
-The streaming counterpart of :func:`.scoring.score_regions_parallel`
-for *plane building*: a large finished batch is partitioned into region
-shards, each worker folds its shard's records into a private
+A large finished batch is partitioned into region shards, each worker
+folds its shard's records into a private
 :class:`~repro.measurements.sketchplane.SketchPlane`, and the parent
 merges the per-shard planes. Because regions partition the records and
 a plane's (region, dataset) cells only ever see their own region's

@@ -1,9 +1,9 @@
-"""score_regions (columnar batch path) vs score_region (reference path).
+"""score_regions (one columnar batch cube) vs score_region per region.
 
 The batch API exists purely for speed; these tests pin the contract
-that makes it safe: the fast path must return *bit-identical*
-ScoreBreakdowns to scoring each region separately through the row
-plane, and the Eq. 5 expansion must agree with both.
+that makes it safe: the batch path must return *bit-identical*
+ScoreBreakdowns to scoring each region separately from its row-plane
+groups, and the Eq. 5 expansion must agree with both.
 """
 
 import pytest
@@ -88,3 +88,38 @@ class TestInputs:
 
     def test_result_keys_sorted(self, batch, config):
         assert list(score_regions(batch, config)) == sorted(batch.regions())
+
+
+class TestTelemetry:
+    """The scoring counters and latency timer, on every input kind."""
+
+    @staticmethod
+    def _readings():
+        from repro.obs import REGISTRY
+
+        snapshot = REGISTRY.snapshot()
+        counters = snapshot["counters"]
+        return (
+            counters.get("scoring.batch.regions", 0),
+            counters.get("scoring.region_scores", 0),
+            snapshot["timers"].get("score.latency", {}).get("count", 0),
+        )
+
+    def _delta(self, call):
+        before = self._readings()
+        call()
+        return tuple(b - a for a, b in zip(before, self._readings()))
+
+    def test_batch_counts_every_region_once(self, batch, config):
+        regions = len(batch.regions())
+        grouped = ColumnarStore(list(batch)).sources_by_region()
+        for records in (batch, grouped):
+            assert self._delta(lambda: score_regions(records, config)) == (
+                regions,
+                regions,
+                1,
+            )
+
+    def test_single_region_counts_one_score(self, batch, config):
+        sources = batch.for_region(batch.regions()[0]).group_by_source()
+        assert self._delta(lambda: score_region(sources, config)) == (0, 1, 1)

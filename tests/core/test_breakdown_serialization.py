@@ -81,30 +81,7 @@ class TestCliJson:
         capsys.readouterr()
         assert main(["score", str(path), "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert set(document) == {"kernel", "regions"}
-        assert document["kernel"] == "vectorized"
+        assert set(document) == {"regions"}
         assert set(document["regions"]) == {"metro-fiber"}
         rebuilt = ScoreBreakdown.from_dict(document["regions"]["metro-fiber"])
         assert 0.0 <= rebuilt.value <= 1.0
-
-    def test_score_json_records_exact_kernel(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "campaign.jsonl"
-        main(
-            [
-                "simulate",
-                str(path),
-                "--regions",
-                "metro-fiber",
-                "--tests",
-                "40",
-                "--subscribers",
-                "10",
-            ]
-        )
-        capsys.readouterr()
-        assert main(["--kernel", "exact", "score", str(path), "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["kernel"] == "exact"
-        assert set(document["regions"]) == {"metro-fiber"}

@@ -1,10 +1,11 @@
-"""Property-based parity: the vectorized kernel against the scalar oracle.
+"""Property-based parity: the scoring kernel against the scalar oracle.
 
-The batched numpy kernel (:mod:`repro.core.kernel`) must reproduce the
-scalar path's ScoreBreakdown trees for *any* batch, not just the
-fixtures the unit tests use. Hypothesis generates adversarial batches —
-regions with missing datasets and metrics, single-sample columns,
-lopsided sample counts — and these tests assert:
+The batched numpy kernel (:mod:`repro.core.kernel`), which every
+scoring entry point runs, must reproduce the scalar oracle's
+(:mod:`tests.core.scalar_oracle`) ScoreBreakdown trees for *any*
+batch, not just the fixtures the unit tests use. Hypothesis generates
+adversarial batches — regions with missing datasets and metrics,
+single-sample columns, lopsided sample counts — and these tests assert:
 
 * **BINARY**: exact float equality, tier by tier (dataclass ``==`` on
   the full breakdown trees compares every float bitwise).
@@ -16,8 +17,6 @@ lopsided sample counts — and these tests assert:
   with enough datasets to cross numpy's pairwise-summation cutoff.
 * **Errors**: DataError parity — same exception, same message, for
   every missing-data policy (SKIP / FAIL / STRICT).
-* **Parallel**: parity holds through ``score_regions_parallel`` with
-  ``workers=2`` (vectorized shards vs the serial exact path).
 """
 
 import math
@@ -30,6 +29,8 @@ from repro.core.exceptions import DataError
 from repro.core.scoring import ScoreBreakdown, score_regions
 from repro.measurements.collection import MeasurementSet
 from repro.measurements.record import Measurement
+
+from tests.core import scalar_oracle as oracle
 
 DATASETS = ("cloudflare", "ndt", "ookla")
 REGIONS = ("alpha", "beta", "gamma")
@@ -143,31 +144,31 @@ def _assert_close_trees(vec, exact):
 
 
 def _both_kernels(records, config):
-    """(vectorized, exact) results, asserting DataError parity.
+    """(kernel, oracle) results, asserting DataError parity.
 
     Also checks the scores-only fast path (:func:`score_values`)
-    against the exact composites — same errors, same values.
+    against the oracle's composites — same errors, same values.
     """
     from repro.core.kernel import score_values
     from repro.measurements.columnar import ColumnarStore
 
     store = ColumnarStore(list(records))
     try:
-        exact = score_regions(records, config, kernel="exact")
+        exact = oracle.score_regions(records, config)
     except DataError as exact_error:
         with pytest.raises(DataError) as caught:
-            score_regions(records, config, kernel="vectorized")
+            score_regions(records, config)
         assert str(caught.value) == str(exact_error)
         with pytest.raises(DataError) as caught_values:
             score_values(store, config)
         assert str(caught_values.value) == str(exact_error)
         return None
-    vec = score_regions(records, config, kernel="vectorized")
+    vec = score_regions(records, config)
     assert list(vec) == list(exact)
     values = score_values(store, config)
     assert list(values) == list(exact)
     for region, breakdown in vec.items():
-        # Same tensor pass as the vectorized kernel: bit equality.
+        # Same tensor pass as the breakdown kernel: bit equality.
         assert values[region] == breakdown.value
     for region, breakdown in exact.items():
         assert math.isclose(
@@ -250,8 +251,8 @@ class TestTargetedEdges:
             ]
         )
         config = paper_config()
-        vec = score_regions(records, config, kernel="vectorized")
-        exact = score_regions(records, config, kernel="exact")
+        vec = score_regions(records, config)
+        exact = oracle.score_regions(records, config)
         assert vec == exact
         assert vec["alpha"].degraded_datasets == ("ookla",)
         assert set(vec["beta"].degraded_datasets) == {"cloudflare", "ookla"}
@@ -268,8 +269,8 @@ class TestTargetedEdges:
         )
         for mode in ScoreMode:
             config = paper_config().with_(score_mode=mode)
-            vec = score_regions(records, config, kernel="vectorized")
-            exact = score_regions(records, config, kernel="exact")
+            vec = score_regions(records, config)
+            exact = oracle.score_regions(records, config)
             assert vec == exact
 
     def test_lower_is_better_boundary_values(self):
@@ -287,8 +288,8 @@ class TestTargetedEdges:
         )
         for mode in ScoreMode:
             config = paper_config().with_(score_mode=mode)
-            vec = score_regions(records, config, kernel="vectorized")
-            exact = score_regions(records, config, kernel="exact")
+            vec = score_regions(records, config)
+            exact = oracle.score_regions(records, config)
             assert vec == exact
 
     def test_strict_policy_error_messages_match(self):
@@ -303,41 +304,10 @@ class TestTargetedEdges:
         )
         config = paper_config().with_(missing_data=MissingDataPolicy.STRICT)
         with pytest.raises(DataError) as exact_error:
-            score_regions(records, config, kernel="exact")
+            oracle.score_regions(records, config)
         with pytest.raises(DataError) as vec_error:
-            score_regions(records, config, kernel="vectorized")
+            score_regions(records, config)
         assert str(vec_error.value) == str(exact_error.value)
-
-    def test_unknown_kernel_rejected(self):
-        records = self._records(
-            [("alpha", "ndt", {"download_mbps": 10.0})]
-        )
-        with pytest.raises(ValueError, match="unknown scoring kernel"):
-            score_regions(records, paper_config(), kernel="numba")
-
-
-class TestParallelParity:
-    def test_workers_two_matches_exact_serial(self, config):
-        from repro.netsim import CampaignConfig, region_preset, simulate_region
-        from repro.netsim.population import REGION_PRESETS
-
-        campaign = CampaignConfig(subscribers=12, tests_per_client=30)
-        records = MeasurementSet()
-        for name in sorted(REGION_PRESETS):
-            records = records + simulate_region(
-                region_preset(name), seed=23, config=campaign
-            )
-        exact = score_regions(records, config, kernel="exact")
-        parallel = score_regions(
-            records, config, workers=2, kernel="vectorized"
-        )
-        assert parallel == exact
-        assert list(parallel) == list(exact)
-        # And the exact kernel shards identically too.
-        assert (
-            score_regions(records, config, workers=2, kernel="exact")
-            == exact
-        )
 
     def test_serialization_roundtrip_of_kernel_output(self):
         records = MeasurementSet(
@@ -354,7 +324,7 @@ class TestParallelParity:
                 for i in range(5)
             ]
         )
-        vec = score_regions(records, paper_config(), kernel="vectorized")
+        vec = score_regions(records, paper_config())
         document = vec["alpha"].to_dict()
         # Kernel-built breakdowns serialize to pure-JSON types and
         # survive the strict from_dict validators bit-for-bit.

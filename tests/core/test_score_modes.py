@@ -6,8 +6,10 @@ from repro.core.aggregation import SequenceSource
 from repro.core.config import ScoreMode, paper_config
 from repro.core.metrics import Metric
 from repro.core.quality import QualityLevel
-from repro.core.scoring import score_region, score_requirement
+from repro.core.scoring import score_region
 from repro.core.usecases import UseCase
+
+from tests.core.scalar_oracle import score_requirement
 
 U, M = UseCase, Metric
 

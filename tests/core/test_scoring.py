@@ -1,4 +1,9 @@
-"""Unit tests for repro.core.scoring (Eqs. 1-5), with hand-computed cases."""
+"""Unit tests for Eqs. 1-5, with hand-computed cases.
+
+Requirement (Eq. 1) and use-case (Eq. 2) scores are read off the scalar
+oracle, which the kernel matches bit for bit (test_entry_points); the
+region score (Eq. 4) runs the production ``score_region``.
+"""
 
 import pytest
 
@@ -6,14 +11,11 @@ from repro.core.aggregation import SequenceSource
 from repro.core.config import MissingDataPolicy, paper_config
 from repro.core.exceptions import DataError
 from repro.core.metrics import Metric
-from repro.core.scoring import (
-    flat_score,
-    score_region,
-    score_requirement,
-    score_use_case,
-)
+from repro.core.scoring import flat_score, score_region, score_regions
 from repro.core.usecases import UseCase
 from repro.core.weights import DatasetWeights
+
+from tests.core.scalar_oracle import score_requirement, score_use_case
 
 U, M = UseCase, Metric
 
@@ -253,3 +255,48 @@ class TestEquationsFourFive:
         breakdown = score_region(perfect_sources, config)
         assert breakdown.grade == "A"
         assert breakdown.credit == 850
+
+
+class TestNonFiniteQuantiles:
+    """NaN is the cube's missing-value sentinel: a source may not answer it."""
+
+    class Answers:
+        """A QuantileSource answering one fixed value for latency only."""
+
+        def __init__(self, value):
+            self.value = value
+
+        def quantile(self, metric, percentile):
+            return self.value if metric is M.LATENCY else None
+
+        def sample_count(self, metric):
+            return 3 if metric is M.LATENCY else 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_score_region_rejects_non_finite_answer(self, bad):
+        config = two_dataset_config()
+        sources = {"a": perfect(), "b": self.Answers(bad)}
+        with pytest.raises(DataError) as caught:
+            score_region(sources, config)
+        assert str(caught.value) == (
+            f"non-finite latency_ms quantile {bad!r} from dataset 'b'"
+        )
+
+    def test_score_regions_names_the_region(self):
+        config = two_dataset_config()
+        grouped = {
+            "alpha": {"a": perfect()},
+            "beta": {"a": SequenceSource(download_mbps=[float("nan")])},
+        }
+        with pytest.raises(DataError) as caught:
+            score_regions(grouped, config)
+        assert str(caught.value) == (
+            "non-finite download_mbps quantile nan from dataset 'a' "
+            "in region 'beta'"
+        )
+
+    def test_unweighted_cells_are_not_queried(self):
+        # Dataset "b" carries no weight, so its NaN answer is never read.
+        config = two_dataset_config(weight_b=0)
+        sources = {"a": perfect(), "b": SequenceSource(latency_ms=[float("nan")])}
+        assert score_region(sources, config).value == pytest.approx(1.0)

@@ -39,6 +39,7 @@ from repro.measurements.record import Measurement
 from repro.measurements.sketchplane import SketchPlane, sketch_records
 from repro.measurements.tdigest import TDigest
 
+from tests.core import scalar_oracle as oracle
 from tests.core.test_kernel_parity import batches
 
 #: Documented sketch bound at the scoring percentiles (p50/p95/p99).
@@ -178,11 +179,9 @@ class TestScoreParity:
     def test_exact_override_is_bit_identical_to_default(self):
         records = self._records()
         config = paper_config()
-        for kernel in ("vectorized", "exact"):
-            default = score_regions(records, config, kernel=kernel)
-            forced = score_regions(
-                records, config, kernel=kernel, quantiles="exact"
-            )
+        for score in (score_regions, oracle.score_regions):
+            default = score(records, config)
+            forced = score(records, config, quantiles="exact")
             assert forced == default
             for breakdown in forced.values():
                 # Exact provenance stays out of serialized archives.
@@ -192,10 +191,8 @@ class TestScoreParity:
         records = self._records()
         config = paper_config().with_(score_mode=ScoreMode.CONTINUOUS)
         exact = score_regions(records, config, quantiles="exact")
-        for kernel in ("vectorized", "exact"):
-            sketch = score_regions(
-                records, config, kernel=kernel, quantiles="sketch"
-            )
+        for score in (score_regions, oracle.score_regions):
+            sketch = score(records, config, quantiles="sketch")
             assert list(sketch) == list(exact)
             for region in exact:
                 assert math.isclose(
@@ -206,27 +203,13 @@ class TestScoreParity:
                 )
 
     def test_vectorized_and_exact_kernels_agree_on_sketch_plane(self):
-        """Both kernels read the same digests → same breakdowns."""
+        """Kernel and scalar oracle read the same digests → same trees."""
         records = self._records(200)
         config = paper_config()
         vec = score_regions(records, config, quantiles="sketch")
-        scalar = score_regions(
-            records, config, kernel="exact", quantiles="sketch"
-        )
+        scalar = oracle.score_regions(records, config, quantiles="sketch")
         assert list(vec) == list(scalar)
-        for region in vec:
-            assert vec[region].value == pytest.approx(
-                scalar[region].value, abs=1e-12
-            )
-
-    def test_parallel_sketch_matches_serial_sketch(self):
-        records = self._records(150)
-        config = paper_config()
-        serial = score_regions(records, config, quantiles="sketch")
-        parallel = score_regions(
-            records, config, workers=2, quantiles="sketch"
-        )
-        assert parallel == serial
+        assert vec == scalar
 
     def test_sketch_plane_input_scores_directly(self):
         records = self._records(200)
@@ -242,10 +225,6 @@ class TestScoreParity:
         plane = sketch_records(_spread_records(50))
         with pytest.raises(ValueError, match="no exact quantile plane"):
             score_regions(plane, paper_config(), quantiles="exact")
-        with pytest.raises(ValueError, match="no exact quantile plane"):
-            score_regions(
-                plane, paper_config(), workers=2, quantiles="exact"
-            )
 
     def test_unknown_quantile_source_rejected(self):
         records = self._records(20)
@@ -280,9 +259,9 @@ class TestMixedPolicy:
             _spread_records(200)
             + _spread_records(100, seed=5, source="ookla")
         )
-        for kernel in ("vectorized", "exact"):
-            mixed = score_regions(records, config, kernel=kernel)
-            assert mixed["alpha"].quantile_source == "mixed"
+        mixed = score_regions(records, config)
+        assert mixed["alpha"].quantile_source == "mixed"
+        assert mixed == oracle.score_regions(records, config)
         # The global override still wins over the config policy.
         forced = score_regions(records, config, quantiles="exact")
         baseline = score_regions(records, paper_config())

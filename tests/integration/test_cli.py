@@ -199,7 +199,7 @@ class TestQuantilesFlag:
         capsys.readouterr()
         manifest = json.loads(manifest_path.read_text())
         assert manifest["quantiles"] == "sketch"
-        assert manifest["kernel"] == "vectorized"
+        assert "kernel" not in manifest
 
     def test_unknown_quantiles_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):

@@ -233,6 +233,21 @@ class TestRunsSubcommand:
         out = capsys.readouterr().out
         assert "aggregation.percentile: 95.0 -> 90.0" in out
 
+    def test_manifests_with_a_kernel_key_still_load(
+        self, two_manifests, tmp_path, capsys
+    ):
+        # Older manifests recorded which scoring kernel ran.
+        for path in two_manifests:
+            document = json.loads(path.read_text())
+            assert "kernel" not in document
+            document["kernel"] = "vectorized"
+            path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["runs", "list", str(tmp_path)]) == 0
+        assert "a.manifest.json" in capsys.readouterr().out
+        assert main(["runs", "diff", *map(str, two_manifests)]) == 0
+        assert "config: identical" in capsys.readouterr().out
+
     def test_diff_rejects_non_manifest(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("not json at all")

@@ -106,8 +106,9 @@ class TestMetricsMerge:
     def test_metrics_reports_merged_worker_counters(
         self, campaign_file, capsys
     ):
-        """After a --workers run, the snapshot still shows the scoring
-        hot path's cache activity — shipped home from the workers."""
+        """After a --workers run, the snapshot shows the in-process
+        scoring hot path's cache activity next to the ingest counters
+        shipped home from the workers."""
         code = main(
             ["--workers", "4", "metrics", str(campaign_file), "--probes", "5"]
         )

@@ -144,6 +144,40 @@ class TestOoklaTiles:
         )
         assert 0.0 <= breakdown.value <= 1.0
 
+    @pytest.mark.parametrize(
+        "field", ["avg_d_kbps", "avg_u_kbps", "avg_lat_ms", "tests"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        # One bad tile among finite ones used to garble the sorted knots.
+        tiles = self.tiles()
+        tiles[1] = dict(tiles[1], **{field: value})
+        with pytest.raises(SchemaError) as caught:
+            ookla_tiles_to_aggregate(tiles, region="metroland")
+        assert str(caught.value) == (
+            f"ookla: non-finite {field}: {float(value)}"
+        )
+
+    def test_finite_tiles_publish_unchanged_knots(self):
+        table = ookla_tiles_to_aggregate(self.tiles(), region="metroland")
+        assert table.to_dict()["metrics"] == {
+            "download_mbps": {
+                "count": 45,
+                "knots": [[5.0, 20.0], [25.0, 100.0], [50.0, 300.0],
+                          [75.0, 300.0], [95.0, 300.0]],
+            },
+            "upload_mbps": {
+                "count": 45,
+                "knots": [[5.0, 2.0], [25.0, 10.0], [50.0, 30.0],
+                          [75.0, 30.0], [95.0, 30.0]],
+            },
+            "latency_ms": {
+                "count": 45,
+                "knots": [[5.0, 10.0], [25.0, 10.0], [50.0, 10.0],
+                          [75.0, 15.0], [95.0, 40.0]],
+            },
+        }
+
     def test_validation(self):
         with pytest.raises(SchemaError, match="no tile rows"):
             ookla_tiles_to_aggregate([], region="x")

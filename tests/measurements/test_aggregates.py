@@ -1,5 +1,7 @@
 """Unit tests for repro.measurements.aggregates (Ookla-style tables)."""
 
+import json
+
 import pytest
 
 from repro.core.exceptions import SchemaError
@@ -102,6 +104,22 @@ class TestAggregateTable:
     def test_malformed_document_rejected(self):
         with pytest.raises(SchemaError, match="malformed"):
             AggregateTable.from_dict({"region": "r"})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_knot_rejected(self, literal):
+        # JSON's non-standard literals parse to float NaN / ±inf.
+        document = json.loads(
+            '{"region": "r", "source": "ookla", "metrics": {"download_mbps":'
+            ' {"count": 3, "knots": [[50, %s]]}}}' % literal
+        )
+        with pytest.raises(SchemaError) as caught:
+            AggregateTable.from_dict(document)
+        value = float(literal.lower().replace("infinity", "inf"))
+        assert str(caught.value) == f"non-finite knot value at p50.0: {value}"
+
+    def test_finite_document_loads_unchanged(self):
+        document = json.loads(json.dumps(self.make_table().to_dict()))
+        assert AggregateTable.from_dict(document).to_dict() == document
 
     def test_empty_table_rejected(self):
         with pytest.raises(SchemaError, match="no metrics"):

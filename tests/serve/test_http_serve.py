@@ -178,7 +178,7 @@ class TestConfigEndpoint:
         assert status == 200
         document = json.loads(body)
         assert document["config_sha256"] == service.config_sha256
-        assert document["kernel"] == "vectorized"
+        assert "kernel" not in document
         assert "thresholds" in document["config"]
 
     def test_config_etag_is_generation_independent(
