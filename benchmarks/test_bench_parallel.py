@@ -1,27 +1,22 @@
-"""Bench ext-parallel — serial scoring and sharded ingest at scale.
+"""Bench ext-parallel — serial batch scoring at scale.
 
 Paper artifact: none directly; a deployed barometer refreshing many
-regions wants wall-clock. These benches measure the largest
-scale-bench volume:
-
-* ``score_regions`` over a cold columnar store, one process — scoring
-  is not sharded: splitting it by region cost more in fork and merge
-  overhead than it saved;
-* JSONL ingest sharded across ``--workers``, where parsing is the cost.
+regions wants wall-clock. This bench measures ``score_regions`` over a
+cold columnar store at the largest scale-bench volume, in one process:
+scoring is not sharded, since splitting it by region cost more in fork
+and merge overhead than it saved, and ingest is not sharded either (a
+forked reader lost to the serial one).
 """
 
 import pytest
 
 from repro.core import score_regions
 from repro.measurements import ColumnarStore, MeasurementSet
-from repro.measurements.io import write_jsonl
 from repro.netsim import CampaignConfig, region_preset, simulate_region
 from repro.netsim.population import REGION_PRESETS
-from repro.parallel import read_jsonl_parallel
 
 #: Matches the largest volume in test_bench_scale.py's volume sweep.
 TESTS_PER_CLIENT = 1600
-WORKERS = 4
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +33,6 @@ def large_batch():
     return list(combined)
 
 
-@pytest.fixture(scope="module")
-def large_jsonl(large_batch, tmp_path_factory):
-    path = tmp_path_factory.mktemp("bench_parallel") / "large.jsonl"
-    write_jsonl(MeasurementSet(large_batch), path)
-    return path
-
-
 def test_bench_score_regions_serial(benchmark, config, large_batch):
     """Baseline: the columnar batch path, one process."""
 
@@ -53,13 +41,3 @@ def test_bench_score_regions_serial(benchmark, config, large_batch):
 
     breakdowns = benchmark(serial)
     assert len(breakdowns) == len(REGION_PRESETS)
-
-
-def test_bench_ingest_parallel(benchmark, large_jsonl, large_batch):
-    """Sharded JSONL ingest of the full batch at 4 workers."""
-
-    def parallel_read():
-        return read_jsonl_parallel(large_jsonl, WORKERS)
-
-    loaded = benchmark(parallel_read)
-    assert len(loaded) == len(large_batch)

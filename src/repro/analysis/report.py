@@ -16,6 +16,7 @@ from repro.core.explain import disagreements, improvement_opportunities
 from repro.core.metrics import Metric
 from repro.core.scoring import ScoreBreakdown, score_region, score_regions
 from repro.measurements.collection import MeasurementSet
+from repro.measurements.columnar import ColumnarStore
 
 from .tables import render_table
 
@@ -122,6 +123,10 @@ def comparison_report(
     policy.
     """
     config = config or paper_config()
+    if isinstance(records, MeasurementSet):
+        # One store serves the scores and the test counts (a set read
+        # from a file hands over the store it was decoded into).
+        records = ColumnarStore.from_measurements(records)
     # Batch fast path: group once, score every region off shared columns.
     # An empty set renders as an empty table, matching the old loop.
     breakdowns = (
@@ -147,14 +152,11 @@ def comparison_report(
 
 
 def _region_tests(records: object, region: str) -> int:
-    """One region's observation count, for any scoreable store.
+    """One region's observation count, for a store or sketch plane.
 
-    Record-backed stores expose ``for_region``; sketch planes (the
-    ``--from-cache`` path) only carry per-view sample tallies, so fall
-    back to summing those.
+    Both group their rows per (region, dataset) view, whose length is
+    the rows (or, for the ``--from-cache`` sketch plane, the records)
+    it holds.
     """
-    for_region = getattr(records, "for_region", None)
-    if for_region is not None:
-        return len(for_region(region))
     views = records.sources_by_region().get(region, {})
     return sum(len(view) for view in views.values())

@@ -28,9 +28,13 @@ idempotent.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.exceptions import DataError, IntegrityError
+from repro.measurements.columnar import as_batch, intern
 from repro.measurements.record import Measurement
 from repro.measurements.sketchplane import SketchPlane, SketchView
 from repro.measurements.tdigest import DEFAULT_DELTA
@@ -50,15 +54,22 @@ DEFAULT_GRANULARITIES = ("region",)
 
 def tile_key(record: Measurement, granularity: str) -> str:
     """The aggregation-axis key one record falls under."""
+    axis = _KEY_AXIS.get(granularity)
+    if axis is None:
+        raise ValueError(
+            f"unknown granularity: {granularity!r} (have {GRANULARITIES})"
+        )
+    return _tile_key(record.region, getattr(record, axis), granularity)
+
+
+#: The record field each granularity keys on besides the region.
+_KEY_AXIS = {"region": "region", "region_isp": "isp", "region_tech": "access_tech"}
+
+
+def _tile_key(region: str, other: str, granularity: str) -> str:
     if granularity == "region":
-        return record.region
-    if granularity == "region_isp":
-        return f"{record.region}/{record.isp or 'unknown'}"
-    if granularity == "region_tech":
-        return f"{record.region}/{record.access_tech or 'unknown'}"
-    raise ValueError(
-        f"unknown granularity: {granularity!r} (have {GRANULARITIES})"
-    )
+        return region
+    return f"{region}/{other or 'unknown'}"
 
 
 def build_tiles(
@@ -69,25 +80,66 @@ def build_tiles(
 ) -> Dict[Tuple[str, str], dict]:
     """Reduce records to tile documents, keyed by (period, source).
 
-    One pass, O(1) amortized per record (buffered digest inserts) —
-    building tiles over a multi-GB dump costs ingest, not sorting.
+    Reads columns: a ``ColumnarStore`` or a store-backed
+    ``MeasurementSet`` as they are, other records transposed once.
+    Rows are grouped by (period, source, tile key) with numpy, and each
+    cell's digests take its rows in row order, exactly as observing the
+    records one by one would — building tiles over a multi-GB dump
+    costs ingest, not sorting.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(
             f"unknown granularity: {granularity!r} (have {GRANULARITIES})"
         )
-    cells: Dict[Tuple[str, str], Dict[str, SketchView]] = {}
-    for record in records:
-        period = period_key(record.timestamp, period_s)
-        views = cells.setdefault((period, record.source), {})
-        key = tile_key(record, granularity)
-        view = views.get(key)
-        if view is None:
-            view = SketchView(delta=delta)
-            views[key] = view
-        view.observe(record)
+    batch = as_batch(records)
+    periods, period_names = intern(
+        list(map(period_key, batch.timestamp.tolist(), repeat(period_s)))
+    )
+    # Each row's tile key. Distinct (region, other) pairs can spell the
+    # same key ("" and "unknown" ISPs, say); their rows share a view.
+    axis = _KEY_AXIS[granularity]
+    regions, others = batch.codes["region"], batch.codes[axis]
+    _, firsts, pair_of = np.unique(
+        regions.astype(np.int64) * len(batch.keys[axis]) + others,
+        return_index=True,
+        return_inverse=True,
+    )
+    key_of_pair, key_names = intern(
+        [
+            _tile_key(
+                batch.keys["region"][regions[row]],
+                batch.keys[axis][others[row]],
+                granularity,
+            )
+            for row in firsts.tolist()
+        ]
+    )
+    labels = (
+        (periods, len(period_names)),
+        (batch.codes["source"], len(batch.keys["source"])),
+        (key_of_pair[pair_of.reshape(-1)], len(key_names)),
+    )
+    # One dense code per (period, source, key) cell, combined a label
+    # at a time so no product outgrows the row count squared.
+    cells = np.zeros(len(batch), dtype=np.int64)
+    for codes, size in labels:
+        combined = cells * size + codes
+        cells = np.unique(combined, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(cells, kind="stable")
+    grouped: Dict[Tuple[str, str], Dict[str, SketchView]] = {}
+    start = 0
+    for count in np.bincount(cells).tolist() if cells.size else ():
+        rows = order[start : start + count]
+        start += count
+        first = int(rows[0])
+        view = SketchView(delta=delta)
+        view.observe_rows(batch, rows)
+        source = batch.keys["source"][batch.codes["source"][first]]
+        period = period_names[periods[first]]
+        key = key_names[labels[2][0][first]]
+        grouped.setdefault((period, source), {})[key] = view
     tiles: Dict[Tuple[str, str], dict] = {}
-    for (period, source), views in sorted(cells.items()):
+    for (period, source), views in sorted(grouped.items()):
         plane_state = {
             "delta": delta,
             "records": sum(len(view) for view in views.values()),
@@ -150,7 +202,7 @@ def write_tiles(
     appends new periods without rewriting old entries. Returns the
     entries for everything built this call.
     """
-    batch = records if isinstance(records, list) else list(records)
+    batch = as_batch(records)
     entries: List[CacheEntry] = []
     for granularity in granularities:
         for (period, source), document in build_tiles(

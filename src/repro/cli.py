@@ -102,7 +102,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.manifest import MANIFEST_SUFFIX, RunManifest
-from repro.parallel import ShardError, read_jsonl_parallel
+from repro.parallel import ShardError
 
 #: The active invocation's provenance accumulator (set by :func:`main`;
 #: commands register configs/inputs/outputs on it as they run).
@@ -123,13 +123,7 @@ def _load_config(path: Optional[str]) -> IQBConfig:
 def _read_measurements(args: argparse.Namespace):
     """Read the command's input file, recording provenance as we go."""
     stats = IngestStats()
-    workers = getattr(args, "workers", 1)
-    if workers > 1:
-        records = read_jsonl_parallel(
-            args.input, workers, on_error=args.on_error, stats=stats
-        )
-    else:
-        records = read_jsonl(args.input, on_error=args.on_error, stats=stats)
+    records = read_jsonl(args.input, on_error=args.on_error, stats=stats)
     if _RUN is not None:
         _RUN.add_input(args.input, stats)
     return records
@@ -613,16 +607,32 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
+def _newlines(path, size: int) -> int:
+    """Newlines in the first ``size`` bytes of ``path``, read in blocks."""
+    count = 0
+    with open(path, "rb") as handle:
+        while size > 0:
+            block = handle.read(min(size, 1 << 20))
+            if not block:
+                break
+            size -= len(block)
+            count += block.count(b"\n")
+    return count
+
+
 def _follow_jsonl(path, service, stop, interval, on_error) -> None:
     """Tail ``path`` for appended JSONL records and ingest them.
 
     Byte-offset tailing with torn-line tolerance: only lines ending in
     a newline are consumed, a partial tail stays buffered for the next
     poll (the same guarantee the campaign journal makes for its WAL).
-    Malformed lines follow ``--on-error``: ``skip`` counts them into
-    ``serve.follow.skipped``; ``raise`` stops the follower and leaves
-    the error visible in the log (the server keeps serving the last
-    consistent generation).
+    Complete lines go through the readers' decoder
+    (:func:`~repro.measurements.io.decode_jsonl`), so a line the follower
+    drops is one ``read_jsonl`` would drop, and the decoded column batch
+    is appended as-is. Malformed lines follow ``--on-error``: ``skip``
+    counts them into ``serve.follow.skipped``; ``raise`` stops the
+    follower and leaves the error, with its ``path:line``, visible in
+    the log (the server keeps serving the last consistent generation).
 
     Truncation (logrotate copytruncate, an operator rewriting the
     file) is detected by the file shrinking below our offset: the
@@ -632,10 +642,10 @@ def _follow_jsonl(path, service, stop, interval, on_error) -> None:
     the reset a shrunk file silently stops being followed until it
     grows past the stale offset, serving stale scores forever.
     """
-    import json as json_module
+    import io
     import os
 
-    from repro.measurements.record import Measurement
+    from repro.measurements.io import decode_jsonl
     from repro.obs import counter, get_logger
 
     logger = get_logger(__name__)
@@ -644,8 +654,9 @@ def _follow_jsonl(path, service, stop, interval, on_error) -> None:
     truncations = counter("serve.follow.truncations")
     try:
         offset = os.path.getsize(path)
+        lines_done = _newlines(path, offset)
     except OSError:
-        offset = 0
+        offset = lines_done = 0
     pending = b""
     while not stop.wait(interval):
         try:
@@ -659,6 +670,7 @@ def _follow_jsonl(path, service, stop, interval, on_error) -> None:
                 extra={"ctx": {"path": path, "old_offset": offset}},
             )
             offset = 0
+            lines_done = 0
             pending = b""
         if size <= offset:
             continue
@@ -674,26 +686,30 @@ def _follow_jsonl(path, service, stop, interval, on_error) -> None:
         if not newline:
             pending = complete
             continue
-        batch = []
-        for raw in complete.split(b"\n"):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = Measurement.from_dict(
-                    json_module.loads(line.decode("utf-8"))
-                )
-            except Exception as exc:  # noqa: BLE001 - per-line verdict
-                if on_error == "raise":
-                    logger.error(
-                        "serve follower stopped on malformed line",
-                        extra={"ctx": {"path": path, "error": repr(exc)}},
-                    )
-                    return
-                skipped.inc()
-                continue
-            batch.append(record)
-        if batch:
+        # The readers' text mode: undecodable bytes reach the decoder
+        # as surrogates, and \r\n / \r end lines as \n does.
+        lines = io.StringIO(
+            (complete + newline).decode("utf-8", "surrogateescape"),
+            newline=None,
+        ).readlines()
+        stats = IngestStats()
+        try:
+            batch = decode_jsonl(
+                lines,
+                path,
+                on_error=on_error,
+                stats=stats,
+                first_line=lines_done + 1,
+            )
+        except SchemaError as exc:
+            logger.error(
+                "serve follower stopped on malformed line",
+                extra={"ctx": {"path": path, "error": str(exc)}},
+            )
+            return
+        lines_done += len(lines)
+        skipped.inc(stats.skipped)
+        if len(batch):
             service.ingest(batch)
             ingested.inc(len(batch))
 
@@ -727,7 +743,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         records = store
     else:
         records = _read_measurements(args)
-        store = ColumnarStore(list(records))
+        store = ColumnarStore.from_measurements(records)
     config = _load_config(args.config)
     populations = None
     if args.populations is not None:

@@ -20,12 +20,10 @@ from .calibration import (
     estimate_biases,
 )
 from .collection import MeasurementSet
-from .columnar import ColumnarStore, ColumnarView
+from .columnar import ColumnarStore, ColumnarView, ColumnBatch
 from .io import (
     IngestStats,
-    csv_row_to_measurement,
-    iter_csv,
-    iter_jsonl,
+    decode_jsonl,
     read_csv,
     read_jsonl,
     write_csv,
@@ -48,6 +46,7 @@ __all__ = [
     "AggregateTable",
     "BiasModel",
     "CalibratedSource",
+    "ColumnBatch",
     "ColumnarStore",
     "ColumnarView",
     "DEFAULT_PUBLISHED_PERCENTILES",
@@ -67,15 +66,13 @@ __all__ = [
     "sketch_records",
     "by_hour_of_day",
     "cloudflare_row_to_measurement",
-    "csv_row_to_measurement",
+    "decode_jsonl",
     "estimate_biases",
     "flatten_nested",
     "ingest_cloudflare",
     "ingest_ndt",
     "ndt_row_to_measurement",
     "ookla_tiles_to_aggregate",
-    "iter_csv",
-    "iter_jsonl",
     "peak_split",
     "read_csv",
     "read_jsonl",

@@ -5,6 +5,14 @@ scoring. It implements the :class:`~repro.core.aggregation.QuantileSource`
 protocol, so a filtered MeasurementSet can be handed directly to
 ``score_region`` as one dataset's evidence.
 
+A set returned by the readers in :mod:`.io` wraps the
+:class:`~repro.measurements.columnar.ColumnarStore` they decoded into:
+its length, distinct keys and the store itself (:meth:`columnar`) come
+from the columns, and its records are built only when a caller
+iterates, indexes, filters or groups it. Scoring and the sketch and
+tile builders read the wrapped store directly, so a file read to be
+scored never becomes records at all.
+
 Filters return new sets sharing the underlying frozen records; grouping
 results and the per-metric value/quantile plane are memoized, because
 the IQB scorer asks the same (metric, percentile) question up to six
@@ -36,6 +44,7 @@ from repro.core.aggregation import percentile_of
 from repro.core.metrics import Metric
 from repro.obs import counter
 
+from .columnar import ColumnarStore
 from .record import Measurement
 
 # Quantile-plane telemetry (see docs/methodology.md, "Observability"):
@@ -57,7 +66,9 @@ class MeasurementSet:
     """
 
     def __init__(self, records: Iterable[Measurement] = ()) -> None:
-        self._records: List[Measurement] = list(records)
+        self._list: Optional[List[Measurement]] = list(records)
+        self._store: Optional[ColumnarStore] = None
+        self._rows = 0
         self._shared = False
         self._parent_cache: Optional[Tuple[Dict[str, "MeasurementSet"], str]] = None
         self._reset_caches()
@@ -72,11 +83,49 @@ class MeasurementSet:
         parent's group index); the first mutation then copies-on-write.
         """
         out = cls.__new__(cls)
-        out._records = records
+        out._list = records
+        out._store = None
+        out._rows = 0
         out._shared = shared
         out._parent_cache = None
         out._reset_caches()
         return out
+
+    @classmethod
+    def _wrap(cls, store: ColumnarStore) -> "MeasurementSet":
+        """A set of ``store``'s current rows, built into records lazily."""
+        out = cls._adopt([])
+        out._list = None
+        out._store = store
+        out._rows = len(store)
+        return out
+
+    @property
+    def _records(self) -> List[Measurement]:
+        records = self._list
+        if records is None:
+            assert self._store is not None  # only _wrap leaves _list unset
+            records = self._store._record_list()
+            if len(records) != self._rows:
+                # The store grew after this set was taken from it.
+                records = records[: self._rows]
+            self._list = records
+        return records
+
+    @_records.setter
+    def _records(self, records: List[Measurement]) -> None:
+        self._list = records
+
+    def columnar(self) -> Optional[ColumnarStore]:
+        """The store holding exactly this set's rows, if the set wraps one.
+
+        None for sets built from records, and for a wrapped set once it
+        has been mutated or its store has grown past it.
+        """
+        store = self._store
+        if store is not None and len(store) == self._rows:
+            return store
+        return None
 
     def _reset_caches(self) -> None:
         self._values_cache: Dict[Metric, List[float]] = {}
@@ -92,7 +141,7 @@ class MeasurementSet:
     # -- container basics -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._rows if self._list is None else len(self._list)
 
     def __iter__(self) -> Iterator[Measurement]:
         return iter(self._records)
@@ -106,10 +155,10 @@ class MeasurementSet:
         # Empty-side fast paths: share the non-empty set instead of
         # re-copying its records (both sets are marked shared so a later
         # mutation of either copies-on-write first).
-        if not other._records:
+        if not len(other):
             self._shared = True
             return MeasurementSet._adopt(self._records)
-        if not self._records:
+        if not len(self):
             other._shared = True
             return MeasurementSet._adopt(other._records)
         return MeasurementSet._adopt(
@@ -117,7 +166,7 @@ class MeasurementSet:
         )
 
     def __repr__(self) -> str:
-        return f"MeasurementSet({len(self._records)} records)"
+        return f"MeasurementSet({len(self)} records)"
 
     # -- mutation ----------------------------------------------------------
 
@@ -125,6 +174,7 @@ class MeasurementSet:
         if self._shared:
             self._records = list(self._records)
             self._shared = False
+        self._store = None
         if self._parent_cache is not None:
             # A cached group subset diverges from its parent on first
             # mutation: drop it from the parent's handout cache so the
@@ -151,7 +201,7 @@ class MeasurementSet:
         self, predicate: Callable[[Measurement], bool]
     ) -> "MeasurementSet":
         """Records matching an arbitrary predicate."""
-        if not self._records:
+        if not len(self):
             return self
         matched = [r for r in self._records if predicate(r)]
         if len(matched) == len(self._records):
@@ -205,14 +255,23 @@ class MeasurementSet:
 
     def regions(self) -> Tuple[str, ...]:
         """Distinct regions, sorted (from the cached group index)."""
+        store = self.columnar()
+        if store is not None:
+            return store.regions()
         return tuple(sorted(self._grouped("region")))
 
     def sources(self) -> Tuple[str, ...]:
         """Distinct dataset names, sorted (from the cached group index)."""
+        store = self.columnar()
+        if store is not None:
+            return store.sources()
         return tuple(sorted(self._grouped("source")))
 
     def isps(self) -> Tuple[str, ...]:
         """Distinct ISPs, sorted (empty names excluded)."""
+        store = self.columnar()
+        if store is not None:
+            return store.isps()
         return tuple(sorted(key for key in self._grouped("isp") if key))
 
     def group_by_region(self) -> Dict[str, "MeasurementSet"]:

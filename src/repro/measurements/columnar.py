@@ -1,16 +1,27 @@
-"""Columnar measurement plane: the scoring hot path's fast layout.
+"""Columnar measurement plane: the native layout of a measurement batch.
 
-The IQB scoring rule is percentile-centric, so barometer-scale cost is
-dominated by repeated quantile aggregation over the same measurements.
-The row-oriented :class:`~repro.measurements.collection.MeasurementSet`
-is the right *ingest* shape — one frozen record per test — but scoring
-six use cases over four metrics re-reads every record dozens of times.
+The IQB score consumes nothing but per-test ``(dl, ul, rtt, loss,
+region, time)`` tuples and is percentile-centric, so barometer-scale
+cost is dominated by repeated quantile aggregation over the same
+measurements. :class:`ColumnarStore` therefore keeps a batch as typed
+columns, not as records:
 
-:class:`ColumnarStore` transposes a record batch once into per-metric
-numpy columns plus dict-based group indexes (region / source / ISP),
-then hands out :class:`ColumnarView` objects — lightweight row-index
-selections that implement the QuantileSource protocol. Views share the
-store's columns (no record copying) and memoize every
+* the four metrics and the timestamp as float64 columns, NaN where a
+  metric is unobserved;
+* region, dataset, ISP and access technology as int32 codes into
+  interned key tables, each table in first-seen order;
+* each row's ``meta`` mapping as a raw per-row list, which only
+  :meth:`ColumnarStore.records` reads.
+
+:func:`repro.measurements.io.read_jsonl` decodes straight into these
+columns (a :class:`ColumnBatch`), so a store read from a file never
+holds a :class:`~.record.Measurement` until a caller asks for
+:meth:`ColumnarStore.records`; a store built from records transposes
+them once and keeps the record list as that cache. Group indexes and
+the (region, dataset) pair index are built from the codes with numpy
+(stable argsort, bincount), and :class:`ColumnarView` objects —
+lightweight row-index selections that implement the QuantileSource
+protocol — share the store's columns and memoize every
 (metric, percentile) answer.
 
 Sorting happens once per metric, store-wide: :meth:`_pair_plane` groups
@@ -31,19 +42,19 @@ what lets :func:`repro.core.scoring.score_regions` swap in for the
 per-region re-group loop without changing a single ScoreBreakdown.
 
 The exact plane is incremental: :meth:`ColumnarStore.append` merges
-each batch into whatever the store has already built — columns, group
-indexes, the pair index and the sorted per-metric planes — instead of
-rebuilding them. New rows always follow old rows and the plane's
-``lexsort`` is stable, so inserting each batch value on the right of
-its (slot, value) position reproduces the cold build exactly, ties and
-signed zeros included: a store grown by appends is bit-identical to
-``ColumnarStore(all records)``. A merge costs O(batch·log batch + n)
-numpy copying instead of O(n) Python field reads plus one O(n log n)
-sort per metric. Cubes and views are dropped (stale views must be
+each batch into whatever the store has already built — columns, key
+tables, group indexes, the pair index and the sorted per-metric planes
+— instead of rebuilding them. New rows always follow old rows and the
+plane's ``lexsort`` is stable, so inserting each batch value on the
+right of its (slot, value) position reproduces the cold build exactly,
+ties and signed zeros included: a store grown by appends is
+bit-identical to ``ColumnarStore(all records)``. A merge costs
+O(batch·log batch + n) numpy copying instead of one O(n log n) sort
+per metric. Cubes and views are dropped (stale views must be
 re-fetched); they rebuild cheaply from the merged planes. Derived state
 that was never built stays unbuilt. The store's attached
 :class:`~.sketchplane.SketchPlane` (if one was requested via
-:meth:`ColumnarStore.sketch_plane`) is fed O(1) amortized per record,
+:meth:`ColumnarStore.sketch_plane`) is fed from the batch columns,
 which keeps the streaming scoring path O(1) per arrival.
 """
 
@@ -60,6 +71,7 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 import numpy as np
@@ -84,10 +96,155 @@ _MERGES = counter("quantile_cache.columnar.merges")
 #: Group axes the store indexes out of the box.
 AXES = ("region", "source", "isp")
 
+#: String fields a batch carries as codes into interned key tables.
+KEY_AXES = ("region", "source", "isp", "access_tech")
+
 _K = TypeVar("_K", bound=Hashable)
 
-#: A record's (region, dataset) pair key.
-_PAIR = attrgetter("region", "source")
+
+class ColumnBatch:
+    """Typed columns of one batch of measurements.
+
+    ``values[metric]`` and ``timestamp`` are float64 columns (NaN where
+    a metric is unobserved); ``codes[axis]`` are int32 indexes into
+    ``keys[axis]``, one interned key table per :data:`KEY_AXES` entry,
+    in first-seen order; ``meta`` holds each row's raw meta mapping
+    (rows may share one mapping object; nothing mutates them). Every
+    row satisfies ``Measurement``'s validation: the decoders in
+    :mod:`.io` and :meth:`from_records` only ever build valid rows.
+    """
+
+    __slots__ = ("values", "timestamp", "codes", "keys", "meta")
+
+    def __init__(
+        self,
+        values: Dict[Metric, np.ndarray],
+        timestamp: np.ndarray,
+        codes: Dict[str, np.ndarray],
+        keys: Dict[str, List[str]],
+        meta: List[Mapping],
+    ) -> None:
+        self.values = values
+        self.timestamp = timestamp
+        self.codes = codes
+        self.keys = keys
+        self.meta = meta
+
+    def __len__(self) -> int:
+        return int(self.timestamp.size)
+
+    def __repr__(self) -> str:
+        return f"ColumnBatch({len(self)} rows)"
+
+    @classmethod
+    def from_records(cls, records: Sequence[Measurement]) -> "ColumnBatch":
+        """Transpose records once into columns (row order kept)."""
+        codes: Dict[str, np.ndarray] = {}
+        keys: Dict[str, List[str]] = {}
+        for axis in KEY_AXES:
+            codes[axis], keys[axis] = intern(
+                list(map(attrgetter(axis), records))
+            )
+        return cls(
+            values={
+                metric: _float_column(records, metric.field_name)
+                for metric in Metric.ordered()
+            },
+            timestamp=np.fromiter(
+                map(attrgetter("timestamp"), records),
+                dtype=np.float64,
+                count=len(records),
+            ),
+            codes=codes,
+            keys=keys,
+            meta=list(map(attrgetter("meta"), records)),
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
+        """One batch holding ``batches``' rows in order, keys re-interned."""
+        if len(batches) == 1:
+            return batches[0]
+        keys: Dict[str, List[str]] = {axis: [] for axis in KEY_AXES}
+        tables: Dict[str, Dict[str, int]] = {axis: {} for axis in KEY_AXES}
+        codes: Dict[str, List[np.ndarray]] = {axis: [] for axis in KEY_AXES}
+        for batch in batches:
+            for axis in KEY_AXES:
+                remap = _add_keys(tables[axis], keys[axis], batch.keys[axis])
+                codes[axis].append(remap[batch.codes[axis]])
+        return cls(
+            values={
+                metric: _concat([batch.values[metric] for batch in batches])
+                for metric in Metric.ordered()
+            },
+            timestamp=_concat([batch.timestamp for batch in batches]),
+            codes={
+                axis: _concat(parts, np.int32) for axis, parts in codes.items()
+            },
+            keys=keys,
+            meta=[entry for batch in batches for entry in batch.meta],
+        )
+
+    def strings(self, axis: str) -> List[str]:
+        """The axis's value per row."""
+        return list(map(self.keys[axis].__getitem__, self.codes[axis].tolist()))
+
+    def arrivals(self) -> Iterable[Tuple[str, str, float]]:
+        """(region, dataset, timestamp) per row, in row order."""
+        return zip(
+            self.strings("region"),
+            self.strings("source"),
+            self.timestamp.tolist(),
+        )
+
+
+def as_batch(records: object) -> ColumnBatch:
+    """``records`` as columns, transposing only when nothing holds them.
+
+    A :class:`ColumnBatch` is returned as-is, a :class:`ColumnarStore`
+    (or a store-backed ``MeasurementSet``) as its native columns; any
+    other iterable of records is transposed once.
+    """
+    if isinstance(records, ColumnBatch):
+        return records
+    if isinstance(records, ColumnarStore):
+        return records.columns()
+    from .collection import MeasurementSet
+
+    if isinstance(records, MeasurementSet):
+        store = records.columnar()
+        if store is not None:
+            return store.columns()
+    rows = records if isinstance(records, list) else list(records)  # type: ignore[call-overload]
+    return ColumnBatch.from_records(rows)
+
+
+def intern(values: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
+    """(int32 codes, key table) of ``values``; keys in first-seen order."""
+    keys = list(dict.fromkeys(values))
+    lookup = {key: code for code, key in enumerate(keys)}
+    codes = np.fromiter(
+        map(lookup.__getitem__, values), dtype=np.int32, count=len(values)
+    )
+    return codes, keys
+
+
+def _add_keys(
+    table: Dict[str, int], keys: List[str], new: Sequence[str]
+) -> np.ndarray:
+    """Codes of ``new`` in ``table``; unseen keys join ``table``/``keys``."""
+    remap = np.empty(len(new), dtype=np.int32)
+    for i, key in enumerate(new):
+        code = table.get(key)
+        if code is None:
+            code = table[key] = len(keys)
+            keys.append(key)
+        remap[i] = code
+    return remap
+
+
+def _concat(parts: Sequence[np.ndarray], dtype=np.float64) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 def _float_column(records: Sequence[Measurement], field: str) -> np.ndarray:
@@ -101,19 +258,26 @@ def _float_column(records: Sequence[Measurement], field: str) -> np.ndarray:
     )
 
 
-def _group_rows(keys: Iterable[_K], offset: int = 0) -> Dict[_K, np.ndarray]:
+def _code_groups(
+    codes: np.ndarray, keys: Sequence[str], offset: int = 0
+) -> Dict[str, np.ndarray]:
     """key → row-index array, rows numbered from ``offset``.
 
-    Falsy keys (empty ISP names) are skipped; keys keep first-seen
-    order.
+    Keys keep their table (first-seen) order; falsy keys (empty ISP
+    names) and keys without rows are skipped. One stable argsort lists
+    every group's rows in ascending order.
     """
-    buckets: Dict[_K, List[int]] = {}
-    for row, key in enumerate(keys, offset):
-        if key:
-            buckets.setdefault(key, []).append(row)
-    return {
-        key: np.asarray(rows, dtype=np.intp) for key, rows in buckets.items()
-    }
+    order = np.argsort(codes, kind="stable")
+    if offset:
+        order += offset
+    counts = np.bincount(codes, minlength=len(keys)).tolist()
+    groups: Dict[str, np.ndarray] = {}
+    end = 0
+    for key, count in zip(keys, counts):
+        start, end = end, end + count
+        if key and count:
+            groups[key] = order[start:end]
+    return groups
 
 
 def _extend_index(
@@ -125,6 +289,35 @@ def _extend_index(
         old = merged.get(key)
         merged[key] = rows if old is None else np.concatenate((old, rows))
     return merged
+
+
+def _pairs(
+    codes: Mapping[str, np.ndarray], keys: Mapping[str, Sequence[str]]
+) -> Tuple[List[Tuple[str, str]], np.ndarray]:
+    """Distinct (region, dataset) pairs of a batch and each row's pair.
+
+    Returns the pairs (in code order) and, per row, the index of its
+    pair in that list.
+    """
+    width = max(1, len(keys["source"]))
+    combined = codes["region"].astype(np.int64) * width + codes["source"]
+    distinct, inverse = np.unique(combined, return_inverse=True)
+    region_keys, source_keys = keys["region"], keys["source"]
+    pairs = [
+        (region_keys[code // width], source_keys[code % width])
+        for code in distinct.tolist()
+    ]
+    return pairs, inverse.reshape(-1)
+
+
+def _record_arrivals(batch: ColumnBatch) -> None:
+    """Tell the installed health monitor about every row, in order."""
+    from repro.obs.health import get_health_monitor
+
+    health = get_health_monitor()
+    if health is not None:
+        for region, source, at in batch.arrivals():
+            health.record_arrival(region, source, at)
 
 
 class _MetricPlane:
@@ -311,27 +504,43 @@ class ColumnarView:
 
 
 class ColumnarStore:
-    """Per-metric columns + group indexes over one measurement batch.
+    """Typed columns + group indexes over one measurement batch.
 
-    Construction is O(records); every column, index, plane, and view is
-    built lazily on first request and shared thereafter. The record
-    list is adopted as-is when a list is passed (the store never
-    mutates it).
+    The columns are the store's native state (see the module
+    docstring); every index, plane, and view is built lazily on first
+    request and shared thereafter. Records are built only when
+    :meth:`records` is called. A record list passed in is adopted
+    as-is as that record cache (the store never mutates it).
     """
 
     #: Native quantile plane (kernel provenance): exact sorted columns.
     QUANTILE_SOURCE = "exact"
 
-    def __init__(self, records: Iterable[Measurement] = ()) -> None:
-        self._records: List[Measurement] = (
-            records if isinstance(records, list) else list(records)
-        )
-        self._columns: Dict[Metric, np.ndarray] = {}
+    def __init__(
+        self, records: Union[ColumnBatch, Iterable[Measurement]] = ()
+    ) -> None:
+        cache: Optional[List[Measurement]] = None
+        if isinstance(records, ColumnBatch):
+            batch = records
+        else:
+            cache = records if isinstance(records, list) else list(records)
+            batch = ColumnBatch.from_records(cache)
+        self._columns: Dict[Metric, np.ndarray] = dict(batch.values)
+        self._timestamp = batch.timestamp
+        self._codes: Dict[str, np.ndarray] = dict(batch.codes)
+        self._keys: Dict[str, List[str]] = dict(batch.keys)
+        self._key_codes: Dict[str, Dict[str, int]] = {
+            axis: {key: code for code, key in enumerate(keys)}
+            for axis, keys in self._keys.items()
+        }
+        self._meta: List[Mapping] = batch.meta
+        # Built records for rows [0, len(cache)); extended on demand.
+        self._records = cache
         self._indexes: Dict[str, Dict[str, np.ndarray]] = {}
-        self._pair_index: Optional[Dict[Tuple[str, str], np.ndarray]] = None
         self._pair_keys: Optional[Tuple[Tuple[str, str], ...]] = None
         self._pair_slots: Optional[Dict[Tuple[str, str], int]] = None
         self._pair_ids: Optional[np.ndarray] = None
+        self._slot_rows: Optional[List[np.ndarray]] = None
         self._planes: Dict[Metric, _MetricPlane] = {}
         self._cubes: Dict[
             Tuple[Tuple[str, ...], Tuple[float, ...]], AggregateCube
@@ -340,9 +549,6 @@ class ColumnarStore:
         self._axis_views: Dict[Tuple[str, str], ColumnarView] = {}
         self._pair_views: Dict[Tuple[str, str], ColumnarView] = {}
         self._by_region: Optional[Dict[str, Dict[str, ColumnarView]]] = None
-        # Adopted lists belong to the caller until the first append
-        # copies them (the store promises never to mutate its input).
-        self._owns_records = not isinstance(records, list)
         self._sketch = None  # type: Optional["SketchPlane"]
         self.generation = 0
 
@@ -350,135 +556,209 @@ class ColumnarStore:
     def from_measurements(
         cls, records: Iterable[Measurement]
     ) -> "ColumnarStore":
-        """Build a store from any record iterable (incl. MeasurementSet)."""
+        """A store over any record iterable (incl. MeasurementSet).
+
+        A ``MeasurementSet`` that wraps a store (as the readers in
+        :mod:`.io` return) hands back that store itself, so its rows
+        are never turned into records and transposed again.
+        """
+        from .collection import MeasurementSet
+
+        if isinstance(records, MeasurementSet):
+            store = records.columnar()
+            if store is not None:
+                return store
         return cls(list(records))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return int(self._timestamp.size)
 
     def __repr__(self) -> str:
-        return f"ColumnarStore({len(self._records)} records)"
+        return f"ColumnarStore({len(self)} records)"
+
+    def columns(self) -> ColumnBatch:
+        """The store's rows as a :class:`ColumnBatch` (shared, not copied)."""
+        return ColumnBatch(
+            values=self._columns,
+            timestamp=self._timestamp,
+            codes=self._codes,
+            keys=self._keys,
+            meta=self._meta,
+        )
 
     def records(self) -> Tuple[Measurement, ...]:
-        """The underlying records (row order preserved)."""
-        return tuple(self._records)
+        """The rows as records (row order preserved).
+
+        Records are built from the columns on the first call and cached;
+        a store built from records returns those very objects.
+        """
+        return tuple(self._record_list())
+
+    def _record_list(self) -> List[Measurement]:
+        """The cached record list, built up to the current row count.
+
+        The list is replaced, never mutated, when it grows, so callers
+        may share it.
+        """
+        cached = self._records if self._records is not None else []
+        built = len(cached)
+        if built < len(self):
+            cached = cached + self._build_records(built, len(self))
+            self._records = cached
+        return cached
+
+    def _build_records(self, start: int, stop: int) -> List[Measurement]:
+        """Records for rows ``start..stop-1``, as ``from_dict`` builds them."""
+
+        def strings(axis: str) -> List[str]:
+            keys = self._keys[axis]
+            return list(
+                map(keys.__getitem__, self._codes[axis][start:stop].tolist())
+            )
+
+        def optional(metric: Metric) -> List[Optional[float]]:
+            return [
+                None if value != value else value
+                for value in self._columns[metric][start:stop].tolist()
+            ]
+
+        return list(
+            map(
+                Measurement,
+                strings("region"),
+                strings("source"),
+                self._timestamp[start:stop].tolist(),
+                *(optional(metric) for metric in Metric.ordered()),
+                strings("isp"),
+                strings("access_tech"),
+                map(dict, self._meta[start:stop]),
+            )
+        )
 
     # -- streaming ingest --------------------------------------------------
 
-    def append(self, records: Iterable[Measurement]) -> None:
-        """Adopt new records, merging them into the built exact plane.
+    def append(self, records: Union[ColumnBatch, Iterable[Measurement]]) -> None:
+        """Adopt new rows, merging them into the built exact plane.
 
-        Every column, group index, pair index and sorted plane the
-        store has built is extended in place of a rebuild (see
-        :meth:`_merge`), bit-identical to a fresh
-        ``ColumnarStore(all records)``; state never built stays
-        unbuilt. Cubes and views are dropped — views handed out before
-        the append are stale (pair slots may have moved) and must be
-        re-fetched. The attached sketch plane (see :meth:`sketch_plane`)
-        is fed *incrementally*, O(1) amortized per record.
+        ``records`` is a :class:`ColumnBatch` (what the readers decode)
+        or records, which are transposed once. Every column, key table,
+        group index, pair index and sorted plane the store has built is
+        extended in place of a rebuild (see :meth:`_merge`),
+        bit-identical to a fresh ``ColumnarStore(all records)``; state
+        never built stays unbuilt. Cubes and views are dropped — views
+        handed out before the append are stale (pair slots may have
+        moved) and must be re-fetched. The attached sketch plane (see
+        :meth:`sketch_plane`) is fed *incrementally* from the batch
+        columns.
 
         Each non-empty call also bumps :attr:`generation` — but only
-        *after* the records are merged, the stale cubes and views
+        *after* the rows are merged, the stale cubes and views
         dropped, and the sketch plane fed, so a reader that observes
         the new stamp is guaranteed a fully consistent plane.
         Generation-keyed caches (the serving layer's score cache)
         invalidate on a single integer compare.
         """
-        new = records if isinstance(records, list) else list(records)
-        if not new:
-            return
-        with span("columnar_append", records=len(new)):
-            self._merge(new)
-        _MERGES.inc(len(new))
-        if self._sketch is not None:
-            # The plane's own add() notifies the health monitor per
-            # record; notifying here too would double-count arrivals.
-            self._sketch.extend(new)
+        new: Optional[List[Measurement]] = None
+        if isinstance(records, ColumnBatch):
+            batch = records
         else:
-            from repro.obs.health import get_health_monitor
-
-            health = get_health_monitor()
-            if health is not None:
-                for record in new:
-                    health.record_arrival(
-                        record.region, record.source, record.timestamp
-                    )
-        # Bumped last: the plane is fully consistent (records merged,
+            new = records if isinstance(records, list) else list(records)
+            batch = ColumnBatch.from_records(new)
+        if not len(batch):
+            return
+        with span("columnar_append", records=len(batch)):
+            self._merge(batch, new)
+        _MERGES.inc(len(batch))
+        if self._sketch is not None:
+            # The plane's extend notifies the health monitor per row;
+            # notifying here too would double-count arrivals.
+            self._sketch.extend(batch)
+        else:
+            _record_arrivals(batch)
+        # Bumped last: the plane is fully consistent (rows merged,
         # cubes and views dropped, sketch fed) before the stamp moves,
         # so a stamp can never name a partially-appended batch.
         self.generation += 1
 
-    def _merge(self, new: List[Measurement]) -> None:
-        """Merge ``new`` into every built column, index and plane.
+    def _merge(
+        self, batch: ColumnBatch, new: Optional[List[Measurement]]
+    ) -> None:
+        """Merge ``batch`` into every built column, index and plane.
 
         Cost is O(batch·log batch + n) numpy copying. Every merged
         array is built before any is assigned, so a failure part-way
         leaves the store as it was.
         """
-        offset = len(self._records)
-        batch_columns = {
-            metric: _float_column(new, metric.field_name)
-            for metric in self._columns
-        }
+        offset = len(self)
+        keys: Dict[str, List[str]] = {}
+        key_codes: Dict[str, Dict[str, int]] = {}
+        batch_codes: Dict[str, np.ndarray] = {}
+        for axis in KEY_AXES:
+            keys[axis] = list(self._keys[axis])
+            key_codes[axis] = dict(self._key_codes[axis])
+            remap = _add_keys(key_codes[axis], keys[axis], batch.keys[axis])
+            batch_codes[axis] = remap[batch.codes[axis]]
         columns = {
-            metric: np.concatenate((column, batch_columns[metric]))
+            metric: np.concatenate((column, batch.values[metric]))
             for metric, column in self._columns.items()
+        }
+        timestamp = np.concatenate((self._timestamp, batch.timestamp))
+        codes = {
+            axis: np.concatenate((self._codes[axis], batch_codes[axis]))
+            for axis in KEY_AXES
         }
         indexes = {
             axis: _extend_index(
-                index, _group_rows(map(attrgetter(axis), new), offset)
+                index, _code_groups(batch_codes[axis], keys[axis], offset)
             )
             for axis, index in self._indexes.items()
         }
         pairs = None
         planes: Dict[Metric, _MetricPlane] = {}
         if self._pair_slots is not None:
-            batch_pairs = _group_rows(map(_PAIR, new), offset)
-            pair_index = _extend_index(self._pair_index, batch_pairs)
-            if len(pair_index) == len(self._pair_keys):
-                keys, slots = self._pair_keys, self._pair_slots
+            batch_pairs, inverse = _pairs(batch_codes, keys)
+            added = [pair for pair in batch_pairs if pair not in self._pair_slots]
+            if not added:
+                pair_keys, slots = self._pair_keys, self._pair_slots
                 remap = None
                 old_ids = self._pair_ids
             else:
                 # New pairs take their sorted slots; old slot ids move
                 # up by one monotone gather.
-                keys = tuple(sorted(pair_index))
-                slots = {key: slot for slot, key in enumerate(keys)}
+                pair_keys = tuple(sorted((*self._pair_keys, *added)))
+                slots = {key: slot for slot, key in enumerate(pair_keys)}
                 remap = np.fromiter(
                     (slots[key] for key in self._pair_keys),
                     dtype=np.intp,
                     count=len(self._pair_keys),
                 )
                 old_ids = remap[self._pair_ids]
-            batch_ids = np.empty(len(new), dtype=np.intp)
-            for key, rows in batch_pairs.items():
-                batch_ids[rows - offset] = slots[key]
-            pairs = (
-                pair_index,
-                keys,
-                slots,
-                np.concatenate((old_ids, batch_ids)),
-            )
+            batch_ids = np.fromiter(
+                (slots[pair] for pair in batch_pairs),
+                dtype=np.intp,
+                count=len(batch_pairs),
+            )[inverse]
+            pairs = (pair_keys, slots, np.concatenate((old_ids, batch_ids)))
             planes = {
                 metric: plane.merged(
-                    remap, len(keys), batch_columns[metric], batch_ids
+                    remap, len(pair_keys), batch.values[metric], batch_ids
                 )
                 for metric, plane in self._planes.items()
             }
-        if not self._owns_records:
-            # Adopted lists belong to the caller: copy before growing.
-            self._records = list(self._records)
-            self._owns_records = True
-        self._records.extend(new)
+        records = self._records
+        if new is not None and records is not None and len(records) == offset:
+            records = records + new
         self._columns = columns
+        self._timestamp = timestamp
+        self._codes = codes
+        self._keys = keys
+        self._key_codes = key_codes
+        self._meta = self._meta + batch.meta
+        self._records = records
         self._indexes = indexes
         if pairs is not None:
-            (
-                self._pair_index,
-                self._pair_keys,
-                self._pair_slots,
-                self._pair_ids,
-            ) = pairs
+            self._pair_keys, self._pair_slots, self._pair_ids = pairs
+        self._slot_rows = None
         self._planes = planes
         self._cubes = {}
         self._all_view = None
@@ -489,12 +769,12 @@ class ColumnarStore:
     def sketch_plane(self, delta: Optional[int] = None) -> "SketchPlane":
         """The store's attached sketch plane, built lazily and kept fed.
 
-        The first call sketches the current records in one pass;
-        afterwards :meth:`append` streams new records straight into the
-        plane, so re-reading it is free. ``delta`` only takes effect on
-        the first call (the plane is built once); later calls with a
-        different delta raise rather than silently answer at the wrong
-        compression.
+        The first call sketches the current rows in one pass over the
+        columns; afterwards :meth:`append` streams new rows straight
+        into the plane, so re-reading it is free. ``delta`` only takes
+        effect on the first call (the plane is built once); later calls
+        with a different delta raise rather than silently answer at the
+        wrong compression.
         """
         from .sketchplane import SketchPlane
         from .tdigest import DEFAULT_DELTA
@@ -503,7 +783,7 @@ class ColumnarStore:
             self._sketch = SketchPlane(
                 delta=delta if delta is not None else DEFAULT_DELTA
             )
-            self._sketch.extend(self._records)
+            self._sketch.extend(self.columns())
         elif delta is not None and delta != self._sketch.delta:
             raise ValueError(
                 f"store sketch plane already built at delta="
@@ -515,11 +795,7 @@ class ColumnarStore:
 
     def column(self, metric: Metric) -> np.ndarray:
         """The full value column for ``metric`` (NaN where unobserved)."""
-        cached = self._columns.get(metric)
-        if cached is None:
-            cached = _float_column(self._records, metric.field_name)
-            self._columns[metric] = cached
-        return cached
+        return self._columns[metric]
 
     def index(self, axis: str) -> Dict[str, np.ndarray]:
         """Group index for one axis: key → row-index array.
@@ -531,37 +807,53 @@ class ColumnarStore:
             raise KeyError(f"unknown group axis: {axis!r} (have {AXES})")
         cached = self._indexes.get(axis)
         if cached is None:
-            cached = _group_rows(map(attrgetter(axis), self._records))
+            cached = _code_groups(self._codes[axis], self._keys[axis])
             self._indexes[axis] = cached
         return cached
 
     def regions(self) -> Tuple[str, ...]:
         """Distinct regions, sorted."""
-        return tuple(sorted(self.index("region")))
+        return tuple(sorted(self._keys["region"]))
 
     def sources(self) -> Tuple[str, ...]:
         """Distinct dataset names, sorted."""
-        return tuple(sorted(self.index("source")))
+        return tuple(sorted(self._keys["source"]))
 
     def isps(self) -> Tuple[str, ...]:
         """Distinct ISPs, sorted (empty names excluded)."""
-        return tuple(sorted(self.index("isp")))
+        return tuple(sorted(key for key in self._keys["isp"] if key))
 
     # -- pair planes (store-wide one-sort-per-metric layout) ---------------
 
     def _ensure_pairs(self) -> None:
-        """Build the (region, dataset) pair index, slots, and row → slot map."""
+        """Build the (region, dataset) pair slots and the row → slot map.
+
+        Slots follow the sorted pair keys, whichever order the codes
+        first met them in.
+        """
         if self._pair_slots is not None:
             return
-        self._pair_index = _group_rows(map(_PAIR, self._records))
-        self._pair_keys = tuple(sorted(self._pair_index))
+        pairs, inverse = _pairs(self._codes, self._keys)
+        order = sorted(range(len(pairs)), key=pairs.__getitem__)
+        slot_of = np.empty(len(pairs), dtype=np.intp)
+        slot_of[order] = np.arange(len(pairs), dtype=np.intp)
+        self._pair_keys = tuple(pairs[i] for i in order)
         self._pair_slots = {
             key: slot for slot, key in enumerate(self._pair_keys)
         }
-        ids = np.empty(len(self._records), dtype=np.intp)
-        for key, rows in self._pair_index.items():
-            ids[rows] = self._pair_slots[key]
-        self._pair_ids = ids
+        self._pair_ids = slot_of[inverse]
+
+    def _rows_of_slot(self, slot: int) -> np.ndarray:
+        """Ascending row indexes of one pair slot."""
+        if self._slot_rows is None:
+            self._ensure_pairs()
+            assert self._pair_ids is not None  # _ensure_pairs built it
+            order = np.argsort(self._pair_ids, kind="stable")
+            counts = np.bincount(
+                self._pair_ids, minlength=len(self._pair_keys or ())
+            )
+            self._slot_rows = np.split(order, np.cumsum(counts)[:-1])
+        return self._slot_rows[slot]
 
     def _pair_plane(self, metric: Metric) -> _MetricPlane:
         """The metric's column grouped by pair and sorted, built once.
@@ -701,7 +993,7 @@ class ColumnarStore:
         if not selected:
             if self._all_view is None:
                 self._all_view = ColumnarView(
-                    self, np.arange(len(self._records), dtype=np.intp)
+                    self, np.arange(len(self), dtype=np.intp)
                 )
             return self._all_view
         if len(selected) == 1:
@@ -731,14 +1023,12 @@ class ColumnarStore:
         view = self._pair_views.get(key)
         if view is None:
             self._ensure_pairs()
-            assert self._pair_index is not None  # _ensure_pairs built it
-            rows = self._pair_index.get(key)
-            if rows is None:
+            assert self._pair_slots is not None  # _ensure_pairs built it
+            slot = self._pair_slots.get(key)
+            if slot is None:
                 view = ColumnarView(self, np.empty(0, dtype=np.intp))
             else:
-                view = ColumnarView(
-                    self, rows, pair=self._pair_slots[key]
-                )
+                view = ColumnarView(self, self._rows_of_slot(slot), pair=slot)
             self._pair_views[key] = view
         return view
 

@@ -6,11 +6,28 @@ framework's streaming sinks. CSV import/export exists for spreadsheet
 interoperability; the CSV dialect is plain (header row, comma, no
 quoting surprises) with ``meta`` omitted.
 
+Readers decode straight into the typed columns of a
+:class:`~repro.measurements.columnar.ColumnarStore` — no
+:class:`~repro.measurements.record.Measurement` per row. Input is
+decoded in chunks of :data:`CHUNK_LINES` lines, so memory tracks the
+columns rather than the parsed documents. Each chunk's documents are
+parsed, their fields gathered into columns, and validated by
+vectorized masks that mirror ``Measurement``'s checks and the
+conversions in ``Measurement.from_dict``. A row a mask flags, or one
+holding a value that is not plain (a bool, a string where a number
+belongs, a nested value, an int too large for a float, a NaN that is
+present rather than absent), is decoded again on its own by
+``Measurement.from_dict`` — ``Measurement`` stays the one definition of
+a valid row, so what is accepted, the error text and the counts are
+those of a per-line ``from_dict`` reader by construction. CSV rows,
+empty cells dropped, go through the same builder.
+
 Readers are strict by default — a malformed line raises
-:class:`~repro.core.exceptions.SchemaError` naming the line number — and
+:class:`~repro.core.exceptions.SchemaError` naming ``path:line`` — and
 tolerant on request (``on_error="skip"``), because real measurement
-dumps do contain garbage rows. Skips are never silent: they increment
-the ``ingest.*.skipped`` counters and the whole-file readers log one
+dumps do contain garbage rows. A line that is not valid UTF-8 is
+malformed like any other. Skips are never silent: they increment the
+``ingest.*.skipped`` counters and the whole-file readers log one
 WARNING with the drop count (see :mod:`repro.obs`).
 """
 
@@ -19,14 +36,19 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import islice
+from operator import methodcaller
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Any, Iterable, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.exceptions import SchemaError
 from repro.core.metrics import Metric
 from repro.obs import counter, get_logger
 
 from .collection import MeasurementSet
+from .columnar import KEY_AXES, ColumnarStore, ColumnBatch, intern
 from .record import Measurement
 
 _PathLike = Union[str, Path]
@@ -37,6 +59,10 @@ _JSONL_READ = counter("ingest.jsonl.lines")
 _JSONL_SKIPPED = counter("ingest.jsonl.skipped")
 _CSV_READ = counter("ingest.csv.rows")
 _CSV_SKIPPED = counter("ingest.csv.skipped")
+
+#: Lines (or CSV rows) decoded per chunk. Bounds the parsed documents
+#: alive at once; past a few thousand, larger chunks only cost memory.
+CHUNK_LINES = 4096
 
 
 @dataclass
@@ -75,55 +101,12 @@ def write_jsonl(records: MeasurementSet, path: _PathLike) -> int:
     return count
 
 
-def iter_jsonl(
-    path: _PathLike,
-    on_error: str = "raise",
-    stats: Optional[IngestStats] = None,
-) -> Iterator[Measurement]:
-    """Stream records from a JSONL file.
-
-    Args:
-        on_error: ``"raise"`` (default) aborts on the first bad line;
-            ``"skip"`` drops undecodable or invalid lines. Every drop
-            increments the ``ingest.jsonl.skipped`` counter and logs
-            the offending line number at DEBUG.
-        stats: optional :class:`IngestStats` updated in place, for
-            callers that need this call's exact read/skip counts.
-    """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip': {on_error!r}")
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                document = json.loads(line)
-                record = Measurement.from_dict(document)
-            except (json.JSONDecodeError, SchemaError) as exc:
-                if on_error == "skip":
-                    _JSONL_SKIPPED.inc()
-                    if stats is not None:
-                        stats.skipped += 1
-                    if _logger.isEnabledFor(10):  # logging.DEBUG
-                        _logger.debug(
-                            "skipped malformed line",
-                            extra={"ctx": {"path": str(path), "line": lineno}},
-                        )
-                    continue
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            _JSONL_READ.inc()
-            if stats is not None:
-                stats.read += 1
-            yield record
-
-
 def read_jsonl(
     path: _PathLike,
     on_error: str = "raise",
     stats: Optional[IngestStats] = None,
 ) -> MeasurementSet:
-    """Load a whole JSONL file into a MeasurementSet.
+    """Load a whole JSONL file into a (store-backed) MeasurementSet.
 
     In ``on_error="skip"`` mode, a file with malformed lines loads the
     good records and logs one WARNING with the skip count (also visible
@@ -131,19 +114,59 @@ def read_jsonl(
     this call's exact read/skip counts (run-provenance manifests record
     them per input file).
     """
+    _check_on_error(on_error)
     if stats is None:
         stats = IngestStats()
-    records = MeasurementSet._adopt(
-        list(iter_jsonl(path, on_error=on_error, stats=stats)), shared=False
-    )
-    if stats.skipped:
-        _logger.warning(
-            "skipped %d malformed line(s) reading %s",
-            stats.skipped,
-            path,
-            extra={"ctx": {"read": stats.read, "skipped": stats.skipped}},
+    # surrogateescape: an undecodable byte reaches the decoder as a
+    # lone surrogate, which rejects that one line (see _parse).
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        batch = decode_jsonl(handle, path, on_error=on_error, stats=stats)
+    _warn_skips(stats, path, "line")
+    return MeasurementSet._wrap(ColumnarStore(batch))
+
+
+def decode_jsonl(
+    lines: Iterable[str],
+    path: _PathLike,
+    on_error: str = "raise",
+    stats: Optional[IngestStats] = None,
+    first_line: int = 1,
+) -> ColumnBatch:
+    """Decode JSONL text lines into one :class:`ColumnBatch`.
+
+    The single JSONL decoder: :func:`read_jsonl` feeds it a file, and
+    ``iqb serve --follow`` the complete lines it tails. ``path`` and
+    ``first_line`` (the number of the first line given) name the
+    offending line in errors.
+
+    Raises:
+        SchemaError: in ``"raise"`` mode, for the first malformed line.
+    """
+    _check_on_error(on_error)
+    if stats is None:
+        stats = IngestStats()
+    chunks: List[ColumnBatch] = []
+    lines = iter(lines)
+    lineno = first_line
+    while True:
+        chunk = list(islice(lines, CHUNK_LINES))
+        if not chunk:
+            break
+        documents, linenos, failures = _parse(chunk, lineno)
+        lineno += len(chunk)
+        chunks.append(
+            _build(
+                documents,
+                linenos,
+                failures,
+                path,
+                on_error,
+                stats,
+                _JSONL_READ,
+                _JSONL_SKIPPED,
+            )
         )
-    return records
+    return _join(chunks)
 
 
 def write_csv(records: MeasurementSet, path: _PathLike) -> int:
@@ -168,64 +191,6 @@ def write_csv(records: MeasurementSet, path: _PathLike) -> int:
     return count
 
 
-def csv_row_to_measurement(row: "dict") -> Measurement:
-    """Decode one CSV row (a ``csv.DictReader`` mapping) into a record.
-
-    Empty cells and unknown extra columns are dropped before schema
-    validation — the shared decoding step behind :func:`read_csv`,
-    :func:`iter_csv`, and the parallel byte-range ingest.
-
-    Raises:
-        SchemaError: on a row that does not form a valid measurement.
-    """
-    document = {
-        key: value for key, value in row.items() if value not in ("", None)
-    }
-    return Measurement.from_dict(document)
-
-
-def iter_csv(
-    path: _PathLike,
-    on_error: str = "raise",
-    stats: Optional[IngestStats] = None,
-) -> Iterator[Measurement]:
-    """Stream records from a CSV produced by :func:`write_csv`.
-
-    Streaming parity with :func:`iter_jsonl`: one decoded record at a
-    time, strict by default, tolerant with ``on_error="skip"`` (drops
-    increment ``ingest.csv.skipped`` and log the row number at DEBUG).
-    Line numbers count the header as line 1, matching :func:`read_csv`.
-
-    Args:
-        on_error: ``"raise"`` (default) aborts on the first bad row;
-            ``"skip"`` drops rows that do not decode.
-        stats: optional :class:`IngestStats` updated in place.
-    """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip': {on_error!r}")
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                record = csv_row_to_measurement(row)
-            except SchemaError as exc:
-                if on_error == "skip":
-                    _CSV_SKIPPED.inc()
-                    if stats is not None:
-                        stats.skipped += 1
-                    if _logger.isEnabledFor(10):  # logging.DEBUG
-                        _logger.debug(
-                            "skipped malformed row",
-                            extra={"ctx": {"path": str(path), "line": lineno}},
-                        )
-                    continue
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            _CSV_READ.inc()
-            if stats is not None:
-                stats.read += 1
-            yield record
-
-
 def read_csv(
     path: _PathLike,
     on_error: str = "raise",
@@ -234,20 +199,320 @@ def read_csv(
     """Load measurements from a CSV produced by :func:`write_csv`.
 
     Unknown extra columns are ignored; missing metric cells become None.
-    In ``on_error="skip"`` mode, dropped rows are counted
-    (``ingest.csv.skipped``) and reported with one WARNING. ``stats``
-    receives this call's read/skip counts, as in :func:`read_jsonl`.
+    Line numbers count the header as line 1. In ``on_error="skip"``
+    mode, dropped rows are counted (``ingest.csv.skipped``) and
+    reported with one WARNING. ``stats`` receives this call's
+    read/skip counts, as in :func:`read_jsonl`.
     """
+    _check_on_error(on_error)
     if stats is None:
         stats = IngestStats()
-    records = MeasurementSet._adopt(
-        list(iter_csv(path, on_error=on_error, stats=stats)), shared=False
-    )
+    chunks: List[ColumnBatch] = []
+    with open(
+        path, "r", encoding="utf-8", errors="surrogateescape", newline=""
+    ) as handle:
+        rows = enumerate(csv.DictReader(handle), start=2)
+        while True:
+            chunk = list(islice(rows, CHUNK_LINES))
+            if not chunk:
+                break
+            documents: List[Any] = []
+            linenos: List[int] = []
+            failures: List[Tuple[int, Exception]] = []
+            for lineno, row in chunk:
+                document = {
+                    key: value
+                    for key, value in row.items()
+                    if value not in ("", None)
+                }
+                problem = next(
+                    filter(
+                        None,
+                        (
+                            _utf8_problem(value)
+                            for value in document.values()
+                            if type(value) is str
+                        ),
+                    ),
+                    None,
+                )
+                if problem is not None:
+                    failures.append((lineno, problem))
+                    continue
+                documents.append(document)
+                linenos.append(lineno)
+            chunks.append(
+                _build(
+                    documents,
+                    linenos,
+                    failures,
+                    path,
+                    on_error,
+                    stats,
+                    _CSV_READ,
+                    _CSV_SKIPPED,
+                )
+            )
+    _warn_skips(stats, path, "row")
+    return MeasurementSet._wrap(ColumnarStore(_join(chunks)))
+
+
+# -- the decoder -----------------------------------------------------------
+
+
+def _check_on_error(on_error: str) -> None:
+    if on_error not in ("raise", "skip"):
+        raise ValueError(f"on_error must be 'raise' or 'skip': {on_error!r}")
+
+
+def _warn_skips(stats: IngestStats, path: _PathLike, what: str) -> None:
     if stats.skipped:
         _logger.warning(
-            "skipped %d malformed row(s) reading %s",
+            "skipped %d malformed %s(s) reading %s",
             stats.skipped,
+            what,
             path,
             extra={"ctx": {"read": stats.read, "skipped": stats.skipped}},
         )
-    return records
+
+
+def _utf8_problem(text: str) -> Optional[SchemaError]:
+    """Why ``text`` (decoded with surrogateescape) is not UTF-8, if it is not."""
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return SchemaError(f"not valid UTF-8: {exc}")
+    return None
+
+
+def _parse(
+    chunk: List[str], first: int
+) -> Tuple[List[Any], List[int], List[Tuple[int, Exception]]]:
+    """Parse one chunk of lines: (documents, their line numbers, failures).
+
+    Blank lines are dropped, as a per-line reader drops them.
+    """
+    texts = list(map(str.strip, chunk))
+    if all(texts) and all(map(str.isascii, texts)):
+        try:
+            return (
+                list(map(json.loads, texts)),
+                list(range(first, first + len(texts))),
+                [],
+            )
+        except json.JSONDecodeError:
+            pass  # some line is malformed: find it line by line
+    documents: List[Any] = []
+    linenos: List[int] = []
+    failures: List[Tuple[int, Exception]] = []
+    for lineno, raw, text in zip(range(first, first + len(chunk)), chunk, texts):
+        if not text:
+            continue
+        problem: Optional[Exception] = _utf8_problem(raw)
+        if problem is None:
+            try:
+                documents.append(json.loads(text))
+            except json.JSONDecodeError as exc:
+                problem = exc
+            else:
+                linenos.append(lineno)
+                continue
+        failures.append((lineno, problem))
+    return documents, linenos, failures
+
+
+_NUMBER_FIELDS = ("timestamp",) + tuple(
+    metric.field_name for metric in Metric.ordered()
+)
+_PLAIN_NUMBER = (float, int, type(None))
+#: Stands in for an absent ``meta`` (never mutated).
+_NO_META: Mapping[str, Any] = {}
+#: Stands in for a document that is not a JSON object (never mutated).
+_NOT_A_DOCUMENT: Mapping[str, Any] = {}
+_GET = {
+    **{field: methodcaller("get", field) for field in _NUMBER_FIELDS},
+    "region": methodcaller("get", "region"),
+    "source": methodcaller("get", "source"),
+    "isp": methodcaller("get", "isp", ""),
+    "access_tech": methodcaller("get", "access_tech", ""),
+    "meta": methodcaller("get", "meta", _NO_META),
+}
+
+
+def _flag_unless(values: List[Any], plain: Tuple[type, ...], flagged: np.ndarray) -> List[Any]:
+    """``values`` with every value of another type flagged and set to None."""
+    if set(map(type, values)).issubset(plain):
+        return values
+    cleaned = []
+    for row, value in enumerate(values):
+        if type(value) in plain:
+            cleaned.append(value)
+        else:
+            flagged[row] = True
+            cleaned.append(None)
+    return cleaned
+
+
+def _number_column(values: List[Any], flagged: np.ndarray) -> np.ndarray:
+    """Plain numbers as float64 (None → NaN); anything else is flagged.
+
+    A NaN that was present in the document (a JSON ``NaN``), as opposed
+    to absent, is flagged too: ``Measurement`` rejects it.
+    """
+    values = _flag_unless(values, _PLAIN_NUMBER, flagged)
+    column = np.array(values, dtype=np.float64)
+    missing = np.isnan(column)
+    if int(np.count_nonzero(missing)) != values.count(None):
+        present = np.fromiter(
+            (value is not None for value in values), dtype=bool, count=len(values)
+        )
+        flagged |= missing & present
+    return column
+
+
+def _key_column(values: List[Any], flagged: np.ndarray, required: bool) -> List[Any]:
+    """Strings as-is; anything else (and, if ``required``, "") flagged."""
+    values = _flag_unless(values, (str,), flagged)
+    if required and "" in values:
+        flagged |= np.fromiter(
+            (value == "" for value in values), dtype=bool, count=len(values)
+        )
+    return values
+
+
+def _gather(documents: List[Any]):
+    """The chunk's fields as columns, and the rows the fast path cannot vouch for.
+
+    Returns (numbers, keys, meta, flagged): float64 columns per number
+    field, value lists per key axis, the meta list, and a boolean mask
+    of rows that must be decoded again by ``Measurement.from_dict``.
+    """
+    n = len(documents)
+    flagged = np.zeros(n, dtype=bool)
+    if not set(map(type, documents)).issubset((dict,)):
+        documents = list(documents)
+        for row, document in enumerate(documents):
+            if type(document) is not dict:
+                flagged[row] = True
+                documents[row] = _NOT_A_DOCUMENT
+    numbers = {
+        field: _number_column(list(map(_GET[field], documents)), flagged)
+        for field in _NUMBER_FIELDS
+    }
+    keys = {
+        axis: _key_column(
+            list(map(_GET[axis], documents)),
+            flagged,
+            required=axis in ("region", "source"),
+        )
+        for axis in KEY_AXES
+    }
+    meta = _flag_unless(list(map(_GET["meta"], documents)), (dict,), flagged)
+    # Measurement.__post_init__, as masks (NaN stands for "absent").
+    inf = np.inf
+    timestamp = numbers["timestamp"]
+    download, upload = numbers["download_mbps"], numbers["upload_mbps"]
+    latency, loss = numbers["latency_ms"], numbers["packet_loss"]
+    with np.errstate(invalid="ignore"):
+        flagged |= ~((timestamp > -inf) & (timestamp < inf))
+        flagged |= (
+            np.isnan(download) & np.isnan(upload) & np.isnan(latency) & np.isnan(loss)
+        )
+        for column in (download, upload):
+            flagged |= ~(np.isnan(column) | ((column >= 0.0) & (column < inf)))
+        flagged |= ~(np.isnan(latency) | ((latency > 0.0) & (latency < inf)))
+        flagged |= ~(np.isnan(loss) | ((loss >= 0.0) & (loss <= 1.0)))
+    return numbers, keys, meta, flagged
+
+
+def _build(
+    documents: List[Any],
+    linenos: List[int],
+    failures: List[Tuple[int, Exception]],
+    path: _PathLike,
+    on_error: str,
+    stats: IngestStats,
+    read_counter,
+    skip_counter,
+) -> ColumnBatch:
+    """One chunk's parsed documents as a validated :class:`ColumnBatch`.
+
+    ``failures`` holds (line, error) for lines that did not parse.
+    Rows the masks flag are decoded again by ``Measurement.from_dict``,
+    whose verdict and error text stand.
+    """
+    n = len(documents)
+    try:
+        numbers, keys, meta, flagged = _gather(documents)
+    except (OverflowError, ValueError, TypeError):
+        # An int too large for a float (or another value numpy will not
+        # convert): decode the whole chunk row by row.
+        numbers = {field: np.full(n, np.nan) for field in _NUMBER_FIELDS}
+        keys = {axis: [None] * n for axis in KEY_AXES}
+        meta = [_NO_META] * n
+        flagged = np.ones(n, dtype=bool)
+    keep = np.ones(n, dtype=bool)
+    failures = list(failures)
+    for row in np.flatnonzero(flagged).tolist():
+        try:
+            record = Measurement.from_dict(documents[row])
+        except SchemaError as exc:
+            failures.append((linenos[row], exc))
+            keep[row] = False
+            continue
+        numbers["timestamp"][row] = record.timestamp
+        for metric in Metric.ordered():
+            value = record.value(metric)
+            numbers[metric.field_name][row] = np.nan if value is None else value
+        for axis in KEY_AXES:
+            keys[axis][row] = getattr(record, axis)
+        meta[row] = record.meta
+    if failures:
+        failures.sort(key=lambda failure: failure[0])
+        if on_error == "raise":
+            lineno, exc = failures[0]
+            before = sum(1 for row in range(n) if keep[row] and linenos[row] < lineno)
+            read_counter.inc(before)
+            stats.read += before
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        skip_counter.inc(len(failures))
+        stats.skipped += len(failures)
+        if _logger.isEnabledFor(10):  # logging.DEBUG
+            for lineno, _exc in failures:
+                _logger.debug(
+                    "skipped malformed line",
+                    extra={"ctx": {"path": str(path), "line": lineno}},
+                )
+    kept = int(np.count_nonzero(keep))
+    if kept < n:
+        rows = np.flatnonzero(keep).tolist()
+        numbers = {field: column[keep] for field, column in numbers.items()}
+        keys = {axis: [values[row] for row in rows] for axis, values in keys.items()}
+        meta = [meta[row] for row in rows]
+    read_counter.inc(kept)
+    stats.read += kept
+    codes = {}
+    tables = {}
+    for axis in KEY_AXES:
+        codes[axis], tables[axis] = intern(keys[axis])
+    # Rows repeat a handful of meta documents: keep one object per
+    # distinct document (repr tells types, -0.0 and key order apart).
+    shared: dict = {}
+    meta = list(map(shared.setdefault, map(repr, meta), meta))
+    return ColumnBatch(
+        values={
+            metric: numbers[metric.field_name] for metric in Metric.ordered()
+        },
+        timestamp=numbers["timestamp"],
+        codes=codes,
+        keys=tables,
+        meta=meta,
+    )
+
+
+def _join(chunks: List[ColumnBatch]) -> ColumnBatch:
+    if not chunks:
+        return ColumnBatch.from_records([])
+    return ColumnBatch.concat(chunks)

@@ -124,7 +124,8 @@ class Measurement:
             )
         except SchemaError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an int too large for a float.
             raise SchemaError(f"malformed measurement document: {exc}") from exc
 
 

@@ -39,7 +39,7 @@ from repro.core.metrics import Metric
 from repro.obs import counter
 from repro.obs.health import get_health_monitor
 
-from .columnar import AggregateCube
+from .columnar import AggregateCube, ColumnBatch, as_batch
 from .record import Measurement
 from .tdigest import DEFAULT_DELTA, TDigest
 
@@ -85,6 +85,33 @@ class SketchView:
                 self._digests[metric] = digest
             digest.add(float(value))
             _UPDATES.inc()
+
+    def observe_rows(self, batch: ColumnBatch, rows: np.ndarray) -> None:
+        """Fold ``batch``'s ``rows`` (ascending) into the cell's digests.
+
+        Each digest sees the same values in the same order as
+        :meth:`observe` over those rows would give it, so the sketch
+        state is identical; digests are created in the order the rows
+        first observe their metric.
+        """
+        self._records += int(rows.size)
+        metrics = Metric.ordered()
+        values = [batch.values[metric][rows] for metric in metrics]
+        observed = [~np.isnan(column) for column in values]
+        firsts = [
+            int(np.argmax(mask)) if mask.any() else None for mask in observed
+        ]
+        for r in sorted(
+            (r for r in range(len(metrics)) if firsts[r] is not None),
+            key=lambda r: (firsts[r], r),
+        ):
+            digest = self._digests.get(metrics[r])
+            if digest is None:
+                digest = TDigest(delta=self._delta)
+                self._digests[metrics[r]] = digest
+            column = values[r][observed[r]].tolist()
+            digest.extend(column)
+            _UPDATES.inc(len(column))
 
     # -- QuantileSource protocol ------------------------------------------
 
@@ -195,8 +222,40 @@ class SketchPlane:
             )
 
     def extend(self, records: Iterable[Measurement]) -> None:
-        for record in records:
-            self.add(record)
+        """Fold many rows in: the same plane as :meth:`add` per row.
+
+        Reads columns — a :class:`~.columnar.ColumnBatch`, a
+        ``ColumnarStore`` or a store-backed ``MeasurementSet`` as they
+        are, any other records transposed once — and feeds each cell
+        its rows in row order.
+        """
+        batch = as_batch(records)
+        if not len(batch):
+            return
+        width = max(1, len(batch.keys["source"]))
+        cells = batch.codes["region"].astype(np.int64) * width
+        cells += batch.codes["source"]
+        # Cells in first-seen order, each with its rows ascending.
+        distinct, firsts, inverse = np.unique(
+            cells, return_index=True, return_inverse=True
+        )
+        order = np.argsort(inverse.reshape(-1), kind="stable")
+        bounds = np.cumsum(np.bincount(inverse.reshape(-1)))
+        regions, sources = batch.keys["region"], batch.keys["source"]
+        for cell in np.argsort(firsts, kind="stable").tolist():
+            code = int(distinct[cell])
+            key = (regions[code // width], sources[code % width])
+            view = self._views.get(key)
+            if view is None:
+                view = SketchView(delta=self.delta)
+                self._views[key] = view
+            start = int(bounds[cell - 1]) if cell else 0
+            view.observe_rows(batch, order[start : int(bounds[cell])])
+        self._records += len(batch)
+        health = get_health_monitor()
+        if health is not None:
+            for region, source, at in batch.arrivals():
+                health.record_arrival(region, source, at)
 
     # -- axes --------------------------------------------------------------
 
@@ -324,7 +383,11 @@ class SketchPlane:
 def sketch_records(
     records: Iterable[Measurement], delta: int = DEFAULT_DELTA
 ) -> SketchPlane:
-    """One-pass plane over a finished batch (convenience constructor)."""
+    """One-pass plane over a finished batch (convenience constructor).
+
+    Reads the columns of a store or store-backed set directly (see
+    :meth:`SketchPlane.extend`).
+    """
     plane = SketchPlane(delta=delta)
     plane.extend(records)
     return plane

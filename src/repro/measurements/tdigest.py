@@ -21,6 +21,7 @@ test.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.exceptions import AggregationError
@@ -69,9 +70,34 @@ class TDigest:
                 self._compress()
 
     def extend(self, values: Iterable[float]) -> None:
-        """Add many observations."""
-        for value in values:
-            self.add(value)
+        """Add many unweighted observations under one lock acquisition.
+
+        The digest ends exactly as :meth:`add` per value, in order,
+        leaves it: the buffer flushes at the same points, and the
+        count and extremes fold the same way.
+        """
+        floats = list(map(float, values))
+        if not floats:
+            return
+        points = list(zip(floats, repeat(1.0)))
+        low, high = min(floats), max(floats)
+        limit = 4 * self.delta
+        with self._lock:
+            count = self._count
+            for _ in points:
+                count += 1.0
+            self._count = count
+            if self._min is None or low < self._min:
+                self._min = low
+            if self._max is None or high > self._max:
+                self._max = high
+            start = 0
+            while start < len(points):
+                stop = start + limit - len(self._buffer)
+                self._buffer.extend(points[start:stop])
+                start = stop
+                if len(self._buffer) >= limit:
+                    self._compress()
 
     def merge(self, other: "TDigest") -> "TDigest":
         """A new digest summarizing both inputs (inputs unchanged).

@@ -52,6 +52,7 @@ from repro.core.scoring import (
     effective_modes,
     score_regions,
 )
+from repro.measurements.columnar import ColumnBatch
 from repro.obs.manifest import config_digest
 from repro.obs.registry import counter
 
@@ -177,12 +178,18 @@ class ScoringService:
     def ingest(self, records: Iterable["object"]) -> int:
         """Append measurements to the plane; returns records added.
 
-        Runs under the plane lock, so no concurrent sweep observes a
+        ``records`` is a :class:`~repro.measurements.columnar.ColumnBatch`
+        (what ``serve --follow`` decodes) or measurement records. Runs
+        under the plane lock, so no concurrent sweep observes a
         half-appended batch; the generation bump (inside ``append`` /
-        per ``add``) is what retires every cached result.
+        ``extend``) is what retires every cached result.
         """
-        batch = records if isinstance(records, list) else list(records)
-        if not batch:
+        batch = (
+            records
+            if isinstance(records, (list, ColumnBatch))
+            else list(records)
+        )
+        if not len(batch):
             return 0
         with self._plane_lock:
             append = getattr(self._store, "append", None)

@@ -1,8 +1,9 @@
 """Integration tests for the global ``--workers`` flag.
 
-The contract: any worker count produces byte-identical command output,
-and worker-side telemetry (quantile-cache counters, ingest counters)
-merges back so ``iqb metrics`` reports a truthful pipeline picture.
+The contract: any worker count produces byte-identical command output.
+``--workers`` shards only campaign simulation; reading and scoring
+always run in-process, so ``iqb metrics`` reports their counters
+directly.
 """
 
 import json
@@ -107,8 +108,8 @@ class TestMetricsMerge:
         self, campaign_file, capsys
     ):
         """After a --workers run, the snapshot shows the in-process
-        scoring hot path's cache activity next to the ingest counters
-        shipped home from the workers."""
+        scoring hot path's cache activity next to the ingest counters;
+        ingest is serial whatever --workers says, so no shard ran."""
         code = main(
             ["--workers", "4", "metrics", str(campaign_file), "--probes", "5"]
         )
@@ -117,11 +118,10 @@ class TestMetricsMerge:
         counters = snapshot["counters"]
         assert counters["quantile_cache.columnar.hits"] > 0
         assert counters["quantile_cache.columnar.sorts"] > 0
-        # The parallel ingest's per-line counters merged too.
         assert counters["ingest.jsonl.lines"] == sum(
             1 for _ in open(campaign_file)
         )
-        assert counters["parallel.shards.completed"] > 0
+        assert counters.get("parallel.shards.completed", 0) == 0
 
     def test_prometheus_rendering_includes_merged_counters(
         self, campaign_file, capsys

@@ -30,7 +30,13 @@ from repro.core.exceptions import DataError, SchemaError
 from repro.core.metrics import Metric
 from repro.core.scoring import score_regions
 from repro.measurements.columnar import AXES, ColumnarStore
-from repro.measurements.io import CSV_FIELDS, IngestStats, read_csv, read_jsonl
+from repro.measurements.io import (
+    CSV_FIELDS,
+    IngestStats,
+    decode_jsonl,
+    read_csv,
+    read_jsonl,
+)
 from repro.measurements.record import Measurement
 from repro.obs import REGISTRY
 from repro.serve import ScoringService
@@ -145,6 +151,27 @@ CASES = {
     "trailing_garbage": line(GOOD) + " x",
     "two_documents": line(GOOD) + " " + line(GOOD),
     "padded": "  \t" + line(doc(region="padded")) + " \t ",
+    "unicode_padded": "\u00a0" + line(doc(region="nbsp")) + "\u3000",
+    "unicode_values": line(doc(region="Zürich", isp="Telefónica")),
+    "lone_cr_between_documents": line(GOOD) + "\r" + line(doc(region="cr")),
+}
+
+#: Lines that are not valid UTF-8 (bytes, no newline).
+RAW_CASES = {
+    "invalid_utf8_region": line(doc(region="r-X")).encode().replace(b"-X", b"\xff"),
+    "invalid_utf8_after_document": line(GOOD).encode() + b" \xc3",
+    "truncated_multibyte": line(doc(isp="caf\u00e9")).encode().replace(
+        b"\xc3\xa9", b"\xc3"
+    ),
+    "overlong_slash": b"\xc0\xaf" + line(GOOD).encode(),
+    "encoded_surrogate": line(doc(source="nd-X")).encode().replace(
+        b"-X", b"\xed\xa0\x80"
+    ),
+}
+
+ALL_CASES = {
+    **{name: text.encode("utf-8") for name, text in CASES.items()},
+    **RAW_CASES,
 }
 
 
@@ -179,7 +206,7 @@ def oracle_jsonl(data, path, on_error):
         try:
             text = raw.encode("latin-1").decode("utf-8")
         except UnicodeDecodeError as exc:
-            problem = SchemaError(f"line is not valid UTF-8: {exc}")
+            problem = SchemaError(f"not valid UTF-8: {exc}")
         else:
             text = text.strip()
             if not text:
@@ -198,22 +225,36 @@ def oracle_jsonl(data, path, on_error):
 
 
 def oracle_csv(data, path, on_error):
-    """(records, read, skipped, error) of reading CSV ``data`` row by row."""
+    """(records, read, skipped, error) of reading CSV ``data`` row by row.
+
+    Cells are split from the bytes (latin-1 keeps one char per byte)
+    and each decoded as UTF-8 on its own.
+    """
     records, skipped, error = [], 0, None
-    text = data.decode("utf-8")
+    text = data.decode("latin-1")
     reader = csv.DictReader(io.StringIO(text, newline=""))
     for lineno, row in enumerate(reader, start=2):
-        document = {
-            key: value for key, value in row.items() if value not in ("", None)
-        }
         try:
-            records.append(Measurement.from_dict(document))
-        except SchemaError as exc:
-            if on_error == "skip":
-                skipped += 1
+            document = {
+                key.encode("latin-1").decode("utf-8"): value.encode(
+                    "latin-1"
+                ).decode("utf-8")
+                for key, value in row.items()
+                if value not in ("", None) and isinstance(value, str)
+            }
+        except UnicodeDecodeError as exc:
+            problem = SchemaError(f"not valid UTF-8: {exc}")
+        else:
+            try:
+                records.append(Measurement.from_dict(document))
                 continue
-            error = ("SchemaError", f"{path}:{lineno}: {exc}")
-            break
+            except SchemaError as exc:
+                problem = exc
+        if on_error == "skip":
+            skipped += 1
+            continue
+        error = ("SchemaError", f"{path}:{lineno}: {problem}")
+        break
     return records, len(records), skipped, error
 
 
@@ -358,7 +399,11 @@ def assert_same_store(read_back, records):
 
 
 def csv_bytes(lines):
-    """The JSON object lines as CSV rows (other lines have no CSV form)."""
+    """The JSON object lines as CSV rows (other lines have no CSV form).
+
+    Lines are text decoded with surrogateescape, so undecodable bytes
+    in a JSON string reach the CSV cell unchanged.
+    """
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(CSV_FIELDS)
@@ -379,7 +424,7 @@ def csv_bytes(lines):
                 for field in CSV_FIELDS
             ]
         )
-    return out.getvalue().encode("utf-8")
+    return out.getvalue().encode("utf-8", "surrogateescape")
 
 
 # -- the follower -------------------------------------------------------------
@@ -443,6 +488,15 @@ def follow(data, directory):
     )
 
 
+def follower_decode(path, on_error, stats):
+    """The follower's decoder over ``path``, fed as the follower feeds it."""
+    lines = io.StringIO(
+        path.read_bytes().decode("utf-8", "surrogateescape"), newline=None
+    ).readlines()
+    batch = decode_jsonl(lines, path, on_error=on_error, stats=stats)
+    return ColumnarStore(batch).records()
+
+
 def assert_follower_matches(data):
     complete = data[: data.rfind(b"\n") + 1]  # a torn tail is not a line yet
     with tempfile.TemporaryDirectory() as directory:
@@ -456,32 +510,34 @@ def assert_follower_matches(data):
 
 def case_file(name):
     """One malformed (or odd) line between valid ones."""
-    return "".join(
-        text + "\n" for text in (good(0), good(1), CASES[name], good(2))
-    ).encode("utf-8")
+    return b"".join(
+        text + b"\n"
+        for text in (
+            good(0).encode(), good(1).encode(), ALL_CASES[name], good(2).encode()
+        )
+    )
 
 
 def corpus_file(exclude=()):
     """Every case, CRLF and blank lines, and a torn last line."""
     parts = []
-    cases = [text for name, text in CASES.items() if name not in exclude]
+    cases = [text for name, text in ALL_CASES.items() if name not in exclude]
     for i, text in enumerate(cases):
-        parts.append(good(i) + "\n")
-        parts.append(text + ("\r\n" if i % 4 == 1 else "\n"))
+        parts.append(good(i).encode() + b"\n")
+        parts.append(text + (b"\r\n" if i % 4 == 1 else b"\n"))
         if i % 5 == 0:
-            parts.append("\n   \n")
-    parts.append(good(999) + "\n")
-    parts.append(line(GOOD)[:25])  # torn: the writer died mid-line
-    return "".join(parts).encode("utf-8")
+            parts.append(b"\n   \n")
+    parts.append(good(999).encode() + b"\n")
+    parts.append(line(GOOD)[:25].encode())  # torn: the writer died mid-line
+    return b"".join(parts)
 
 
 def escaping_cases():
     """Cases whose error escapes the oracle instead of being skipped."""
     return {
         name
-        for name, text in CASES.items()
-        if oracle(oracle_jsonl, (text + "\n").encode(), "x", "skip")[0]
-        is None
+        for name, text in ALL_CASES.items()
+        if oracle(oracle_jsonl, text + b"\n", "x", "skip")[0] is None
     }
 
 
@@ -492,17 +548,18 @@ def write(tmp_path, name, data):
 
 
 def jsonl_and_csv(tmp_path, data, name="corpus"):
-    """Check read_jsonl and read_csv over the same rows."""
+    """Check read_jsonl, the follower's decoder and read_csv on the same rows."""
     path = write(tmp_path, f"{name}.jsonl", data)
     assert_matches_oracle(read_jsonl, oracle_jsonl, data, path, "jsonl")
-    lines = [raw.strip() for raw in data.decode("utf-8").splitlines()]
-    table = csv_bytes([text for text in lines if text])
+    assert_matches_oracle(follower_decode, oracle_jsonl, data, path, "jsonl")
+    text = data.decode("utf-8", "surrogateescape")
+    table = csv_bytes([raw.strip() for raw in text.splitlines() if raw.strip()])
     csv_path = write(tmp_path, f"{name}.csv", table)
     assert_matches_oracle(read_csv, oracle_csv, table, csv_path, "csv")
     return path, csv_path
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
 def test_each_case_matches_the_oracle(tmp_path, name):
     data = case_file(name)
     path, csv_path = jsonl_and_csv(tmp_path, data, name)
@@ -546,9 +603,9 @@ def test_edge_files_match_the_oracle(tmp_path, name, data):
 # -- random mixes spanning several decode chunks ------------------------------
 
 _POOL = (
-    [good(i) for i in range(12)]
-    + [text for name, text in CASES.items() if name not in escaping_cases()]
-    + ["", "   "]
+    [good(i).encode() for i in range(12)]
+    + [text for name, text in ALL_CASES.items() if name not in escaping_cases()]
+    + [b"", b"   "]
 )
 
 
@@ -564,10 +621,9 @@ _POOL = (
 def test_random_mixes_match_the_oracle(monkeypatch, picks, torn):
     # Small decode chunks, so a few dozen lines span several of them.
     monkeypatch.setattr(ingest, "CHUNK_LINES", 7, raising=False)
-    data = "".join(_POOL[i] + "\n" for i in picks)
+    payload = b"".join(_POOL[i] + b"\n" for i in picks)
     if torn:
-        data += line(GOOD)[:30]
-    payload = data.encode("utf-8")
+        payload += line(GOOD)[:30].encode()
     with tempfile.TemporaryDirectory() as directory:
         path, _ = jsonl_and_csv(Path(directory), payload)
         want = oracle(oracle_jsonl, payload, str(path), "skip")

@@ -12,9 +12,6 @@ from repro.measurements.columnar import ColumnarStore
 from repro.measurements.io import (
     CSV_FIELDS,
     IngestStats,
-    csv_row_to_measurement,
-    iter_csv,
-    iter_jsonl,
     read_csv,
     read_jsonl,
     write_csv,
@@ -56,13 +53,6 @@ class TestJsonl:
         assert write_jsonl(records, path) == 2
         loaded = read_jsonl(path)
         assert list(loaded) == list(records)
-
-    def test_iter_streams_lazily(self, records, tmp_path):
-        path = tmp_path / "data.jsonl"
-        write_jsonl(records, path)
-        iterator = iter_jsonl(path)
-        first = next(iterator)
-        assert first.region == "r1"
 
     def test_blank_lines_skipped(self, records, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -158,66 +148,62 @@ class TestCsv:
             read_csv(path, on_error="ignore")
 
 
-class TestIterCsv:
-    def test_streams_same_records_as_read_csv(self, records, tmp_path):
+class TestEdgeFiles:
+    """Degenerate files, where off-by-one bugs in line handling live."""
+
+    def test_zero_byte_jsonl(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_bytes(b"")
+        assert len(read_jsonl(path)) == 0
+
+    def test_zero_byte_csv(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        assert len(read_csv(path)) == 0
+
+    def test_header_only_csv(self, records, tmp_path):
+        path = tmp_path / "header.csv"
+        write_csv(records, path)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert len(read_csv(path)) == 0
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_few_lines(self, records, tmp_path, count):
+        head = MeasurementSet(list(records)[:count])
+        jsonl, table = tmp_path / "few.jsonl", tmp_path / "few.csv"
+        write_jsonl(head, jsonl)
+        write_csv(head, table)
+        assert list(read_jsonl(jsonl)) == list(head)
+        assert [r.region for r in read_csv(table)] == [
+            r.region for r in head
+        ]
+
+    def test_no_trailing_newline_jsonl(self, records, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(records, path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert list(read_jsonl(path)) == list(records)
+
+    def test_no_trailing_newline_csv(self, records, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(records, path)
-        assert list(iter_csv(path)) == list(read_csv(path))
+        path.write_bytes(path.read_bytes().rstrip(b"\r\n"))
+        assert [r.region for r in read_csv(path)] == ["r1", "r2"]
 
-    def test_streams_lazily(self, records, tmp_path):
-        path = tmp_path / "data.csv"
-        write_csv(records, path)
-        iterator = iter_csv(path)
-        first = next(iterator)
-        assert first.region == "r1"
+    @pytest.mark.parametrize("read", [read_jsonl, read_csv])
+    def test_missing_file_raises_oserror(self, read, tmp_path):
+        with pytest.raises(OSError):
+            read(tmp_path / "missing")
 
-    def test_stats_updated_in_place(self, records, tmp_path):
+    def test_csv_stats_updated_in_place(self, records, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(records, path)
         with open(path, "a") as handle:
             handle.write("r3,ndt,notanumber,1,,,,,\n")
         stats = IngestStats()
-        loaded = list(iter_csv(path, on_error="skip", stats=stats))
+        loaded = read_csv(path, on_error="skip", stats=stats)
         assert len(loaded) == 2
-        assert stats.read == 2
-        assert stats.skipped == 1
-
-    def test_bad_row_raises_with_location(self, records, tmp_path):
-        path = tmp_path / "data.csv"
-        write_csv(records, path)
-        with open(path, "a") as handle:
-            handle.write("r3,ndt,notanumber,1,,,,,\n")
-        with pytest.raises(SchemaError, match=":4"):
-            list(iter_csv(path))
-
-    def test_on_error_validated(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("region,source\n")
-        with pytest.raises(ValueError, match="on_error"):
-            list(iter_csv(path, on_error="ignore"))
-
-
-class TestCsvRowToMeasurement:
-    def test_decodes_row_dropping_empty_cells(self):
-        record = csv_row_to_measurement(
-            {
-                "region": "r1",
-                "source": "ndt",
-                "timestamp": "1.5",
-                "download_mbps": "42.0",
-                "upload_mbps": "",
-                "latency_ms": None,
-            }
-        )
-        assert record.region == "r1"
-        assert record.download_mbps == 42.0
-        assert record.upload_mbps is None
-
-    def test_invalid_row_raises_schema_error(self):
-        with pytest.raises(SchemaError):
-            csv_row_to_measurement(
-                {"region": "r1", "source": "ndt", "timestamp": "nope"}
-            )
+        assert (stats.read, stats.skipped) == (2, 1)
 
 
 class TestNonFiniteValues:

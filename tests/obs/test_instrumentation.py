@@ -13,7 +13,7 @@ from repro.core.config import paper_config
 from repro.core.exceptions import BackendError
 from repro.core.scoring import score_region, score_regions
 from repro.measurements.collection import MeasurementSet
-from repro.measurements.io import IngestStats, iter_jsonl, read_jsonl, write_jsonl
+from repro.measurements.io import IngestStats, read_jsonl, write_jsonl
 from repro.measurements.record import Measurement
 from repro.obs import REGISTRY
 from repro.probing.backends import ProbeRequest
@@ -170,9 +170,9 @@ class TestIngestCounters:
         assert any("skipped 2 malformed line(s)" in r.getMessage()
                    for r in warnings)
 
-    def test_iter_jsonl_fills_caller_stats(self, dirty_file):
+    def test_read_jsonl_fills_caller_stats(self, dirty_file):
         stats = IngestStats()
-        consumed = list(iter_jsonl(dirty_file, on_error="skip", stats=stats))
+        consumed = read_jsonl(dirty_file, on_error="skip", stats=stats)
         assert len(consumed) == 2
         assert stats.read == 2
         assert stats.skipped == 2

@@ -9,19 +9,24 @@ import threading
 import time
 
 from repro.cli import _follow_jsonl
+from repro.measurements.columnar import ColumnarStore
 from repro.obs import REGISTRY
 
 from tests.serve.conftest import batch
 
 
 class FakeService:
-    """Collects ingested batches; thread-safe enough for one follower."""
+    """Collects ingested batches; thread-safe enough for one follower.
+
+    The follower hands over decoded column batches; they are kept as
+    records here so tests can read their fields.
+    """
 
     def __init__(self):
         self.batches = []
 
-    def ingest(self, records):
-        self.batches.append(list(records))
+    def ingest(self, batch):
+        self.batches.append(list(ColumnarStore(batch).records()))
 
     def total(self):
         return sum(len(b) for b in self.batches)
