@@ -52,10 +52,11 @@ Subcommands:
 Global flags: ``--log-level {debug,info,warning,error}`` and
 ``--log-json`` configure structured logging for every subcommand
 (events go to stderr; stdout stays clean for command output);
-``--workers N`` shards measurement ingest and campaign simulation
-across a forked worker pool (``N <= 1`` keeps everything in-process;
-results are identical either way and worker telemetry merges back into
-the run's metrics). Scoring always runs in-process: sharding it by
+``--workers N`` shards campaign simulation across a forked worker pool
+(``N <= 1`` keeps everything in-process; results are identical either
+way and worker telemetry merges back into the run's metrics). Reading
+and scoring always run in-process, so ``--workers`` cannot change a
+score: a forked reader lost to the serial one, and sharding scoring by
 region cost more in fork and merge overhead than it saved (see "Sizing
 ``--workers``" in docs/deployment.md).
 Live-operations flags, also global:
@@ -1303,9 +1304,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard measurement ingest and simulation across N "
-        "forked worker processes (default 1 = fully in-process; "
-        "results are identical either way; scoring always runs "
+        help="shard campaign simulation across N forked worker "
+        "processes (default 1 = fully in-process; results are "
+        "identical either way; reading and scoring always run "
         "in-process)",
     )
     parser.add_argument(
