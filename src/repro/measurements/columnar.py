@@ -533,7 +533,9 @@ class ColumnarStore:
             axis: {key: code for code, key in enumerate(keys)}
             for axis, keys in self._keys.items()
         }
-        self._meta: List[Mapping] = batch.meta
+        # Per-row meta, one list per appended batch (joined on demand:
+        # only records() and columns() read it).
+        self._meta: List[List[Mapping]] = [batch.meta]
         # Built records for rows [0, len(cache)); extended on demand.
         self._records = cache
         self._indexes: Dict[str, Dict[str, np.ndarray]] = {}
@@ -583,8 +585,13 @@ class ColumnarStore:
             timestamp=self._timestamp,
             codes=self._codes,
             keys=self._keys,
-            meta=self._meta,
+            meta=self._joined_meta(),
         )
+
+    def _joined_meta(self) -> List[Mapping]:
+        if len(self._meta) > 1:
+            self._meta = [[entry for part in self._meta for entry in part]]
+        return self._meta[0]
 
     def records(self) -> Tuple[Measurement, ...]:
         """The rows as records (row order preserved).
@@ -631,7 +638,7 @@ class ColumnarStore:
                 *(optional(metric) for metric in Metric.ordered()),
                 strings("isp"),
                 strings("access_tech"),
-                map(dict, self._meta[start:stop]),
+                map(dict, self._joined_meta()[start:stop]),
             )
         )
 
@@ -753,7 +760,7 @@ class ColumnarStore:
         self._codes = codes
         self._keys = keys
         self._key_codes = key_codes
-        self._meta = self._meta + batch.meta
+        self._meta = self._meta + [batch.meta]
         self._records = records
         self._indexes = indexes
         if pairs is not None:
