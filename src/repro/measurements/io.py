@@ -292,7 +292,10 @@ def _parse(
 ) -> Tuple[List[Any], List[int], List[Tuple[int, Exception]]]:
     """Parse one chunk of lines: (documents, their line numbers, failures).
 
-    Blank lines are dropped, as a per-line reader drops them.
+    Blank lines are dropped, as a per-line reader drops them. A line
+    ``json.loads`` rejects is malformed: besides syntax errors, that is
+    an integer past the interpreter's digit limit (ValueError) and
+    nesting past its recursion limit.
     """
     texts = list(map(str.strip, chunk))
     if all(texts) and all(map(str.isascii, texts)):
@@ -302,7 +305,7 @@ def _parse(
                 list(range(first, first + len(texts))),
                 [],
             )
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             pass  # some line is malformed: find it line by line
     documents: List[Any] = []
     linenos: List[int] = []
@@ -314,7 +317,7 @@ def _parse(
         if problem is None:
             try:
                 documents.append(json.loads(text))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 problem = exc
             else:
                 linenos.append(lineno)

@@ -154,6 +154,12 @@ CASES = {
     "unicode_padded": "\u00a0" + line(doc(region="nbsp")) + "\u3000",
     "unicode_values": line(doc(region="Zürich", isp="Telefónica")),
     "lone_cr_between_documents": line(GOOD) + "\r" + line(doc(region="cr")),
+    "int_past_digit_limit": line(doc(download_mbps=1)).replace(
+        '"download_mbps": 1', '"download_mbps": ' + "7" * 5000
+    ),
+    "deep_nesting": line(doc(meta=None)).replace(
+        '"meta": null', '"meta": ' + "[" * 100000 + "]" * 100000
+    ),
 }
 
 #: Lines that are not valid UTF-8 (bytes, no newline).
@@ -214,7 +220,7 @@ def oracle_jsonl(data, path, on_error):
             try:
                 records.append(Measurement.from_dict(json.loads(text)))
                 continue
-            except (json.JSONDecodeError, SchemaError) as exc:
+            except (ValueError, RecursionError, SchemaError) as exc:
                 problem = exc
         if on_error == "skip":
             skipped += 1
@@ -410,7 +416,7 @@ def csv_bytes(lines):
     for text in lines:
         try:
             document = json.loads(text)
-        except ValueError:
+        except (ValueError, RecursionError):
             continue
         if not isinstance(document, dict):
             continue
