@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import DataError, IntegrityError
-from repro.measurements.columnar import as_batch, intern
+from repro.measurements.columnar import as_batch, group_rows, intern
 from repro.measurements.record import Measurement
 from repro.measurements.sketchplane import SketchPlane, SketchView
 from repro.measurements.tdigest import DEFAULT_DELTA
@@ -63,7 +63,11 @@ def tile_key(record: Measurement, granularity: str) -> str:
 
 
 #: The record field each granularity keys on besides the region.
-_KEY_AXIS = {"region": "region", "region_isp": "isp", "region_tech": "access_tech"}
+_KEY_AXIS = {
+    "region": "region",
+    "region_isp": "isp",
+    "region_tech": "access_tech",
+}
 
 
 def _tile_key(region: str, other: str, granularity: str) -> str:
@@ -125,12 +129,10 @@ def build_tiles(
     for codes, size in labels:
         combined = cells * size + codes
         cells = np.unique(combined, return_inverse=True)[1].reshape(-1)
-    order = np.argsort(cells, kind="stable")
     grouped: Dict[Tuple[str, str], Dict[str, SketchView]] = {}
-    start = 0
-    for count in np.bincount(cells).tolist() if cells.size else ():
-        rows = order[start : start + count]
-        start += count
+    for rows in group_rows(cells, int(cells.max()) + 1 if cells.size else 0):
+        if not rows.size:
+            continue
         first = int(rows[0])
         view = SketchView(delta=delta)
         view.observe_rows(batch, rows)

@@ -163,6 +163,8 @@ class ColumnBatch:
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
         """One batch holding ``batches``' rows in order, keys re-interned."""
+        if not batches:
+            return cls.from_records([])
         if len(batches) == 1:
             return batches[0]
         keys: Dict[str, List[str]] = {axis: [] for axis in KEY_AXES}
@@ -187,15 +189,9 @@ class ColumnBatch:
 
     def strings(self, axis: str) -> List[str]:
         """The axis's value per row."""
-        return list(map(self.keys[axis].__getitem__, self.codes[axis].tolist()))
+        keys = self.keys[axis]
+        return list(map(keys.__getitem__, self.codes[axis].tolist()))
 
-    def arrivals(self) -> Iterable[Tuple[str, str, float]]:
-        """(region, dataset, timestamp) per row, in row order."""
-        return zip(
-            self.strings("region"),
-            self.strings("source"),
-            self.timestamp.tolist(),
-        )
 
 
 def as_batch(records: object) -> ColumnBatch:
@@ -215,8 +211,9 @@ def as_batch(records: object) -> ColumnBatch:
         store = records.columnar()
         if store is not None:
             return store.columns()
-    rows = records if isinstance(records, list) else list(records)  # type: ignore[call-overload]
-    return ColumnBatch.from_records(rows)
+    if not isinstance(records, list):
+        records = list(records)  # type: ignore[call-overload]
+    return ColumnBatch.from_records(records)
 
 
 def intern(values: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
@@ -258,26 +255,28 @@ def _float_column(records: Sequence[Measurement], field: str) -> np.ndarray:
     )
 
 
+def group_rows(ids: np.ndarray, groups: int) -> List[np.ndarray]:
+    """Each group's row indexes, ascending (one stable argsort).
+
+    ``ids`` holds every row's group, in ``range(groups)``.
+    """
+    order = np.argsort(ids, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ids, minlength=groups))[:-1])
+
+
 def _code_groups(
     codes: np.ndarray, keys: Sequence[str], offset: int = 0
 ) -> Dict[str, np.ndarray]:
     """key → row-index array, rows numbered from ``offset``.
 
     Keys keep their table (first-seen) order; falsy keys (empty ISP
-    names) and keys without rows are skipped. One stable argsort lists
-    every group's rows in ascending order.
+    names) and keys without rows are skipped.
     """
-    order = np.argsort(codes, kind="stable")
-    if offset:
-        order += offset
-    counts = np.bincount(codes, minlength=len(keys)).tolist()
-    groups: Dict[str, np.ndarray] = {}
-    end = 0
-    for key, count in zip(keys, counts):
-        start, end = end, end + count
-        if key and count:
-            groups[key] = order[start:end]
-    return groups
+    return {
+        key: rows + offset if offset else rows
+        for key, rows in zip(keys, group_rows(codes, len(keys)))
+        if key and rows.size
+    }
 
 
 def _extend_index(
@@ -310,13 +309,17 @@ def _pairs(
     return pairs, inverse.reshape(-1)
 
 
-def _record_arrivals(batch: ColumnBatch) -> None:
+def record_arrivals(batch: ColumnBatch) -> None:
     """Tell the installed health monitor about every row, in order."""
     from repro.obs.health import get_health_monitor
 
     health = get_health_monitor()
     if health is not None:
-        for region, source, at in batch.arrivals():
+        for region, source, at in zip(
+            batch.strings("region"),
+            batch.strings("source"),
+            batch.timestamp.tolist(),
+        ):
             health.record_arrival(region, source, at)
 
 
@@ -644,7 +647,9 @@ class ColumnarStore:
 
     # -- streaming ingest --------------------------------------------------
 
-    def append(self, records: Union[ColumnBatch, Iterable[Measurement]]) -> None:
+    def append(
+        self, records: Union[ColumnBatch, Iterable[Measurement]]
+    ) -> None:
         """Adopt new rows, merging them into the built exact plane.
 
         ``records`` is a :class:`ColumnBatch` (what the readers decode)
@@ -681,7 +686,7 @@ class ColumnarStore:
             # notifying here too would double-count arrivals.
             self._sketch.extend(batch)
         else:
-            _record_arrivals(batch)
+            record_arrivals(batch)
         # Bumped last: the plane is fully consistent (rows merged,
         # cubes and views dropped, sketch fed) before the stamp moves,
         # so a stamp can never name a partially-appended batch.
@@ -724,7 +729,9 @@ class ColumnarStore:
         planes: Dict[Metric, _MetricPlane] = {}
         if self._pair_slots is not None:
             batch_pairs, inverse = _pairs(batch_codes, keys)
-            added = [pair for pair in batch_pairs if pair not in self._pair_slots]
+            added = [
+                pair for pair in batch_pairs if pair not in self._pair_slots
+            ]
             if not added:
                 pair_keys, slots = self._pair_keys, self._pair_slots
                 remap = None
@@ -855,11 +862,9 @@ class ColumnarStore:
         if self._slot_rows is None:
             self._ensure_pairs()
             assert self._pair_ids is not None  # _ensure_pairs built it
-            order = np.argsort(self._pair_ids, kind="stable")
-            counts = np.bincount(
-                self._pair_ids, minlength=len(self._pair_keys or ())
+            self._slot_rows = group_rows(
+                self._pair_ids, len(self._pair_keys or ())
             )
-            self._slot_rows = np.split(order, np.cumsum(counts)[:-1])
         return self._slot_rows[slot]
 
     def _pair_plane(self, metric: Metric) -> _MetricPlane:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import methodcaller
 from pathlib import Path
-from typing import Any, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -166,7 +166,7 @@ def decode_jsonl(
                 _JSONL_SKIPPED,
             )
         )
-    return _join(chunks)
+    return ColumnBatch.concat(chunks)
 
 
 def write_csv(records: MeasurementSet, path: _PathLike) -> int:
@@ -254,7 +254,7 @@ def read_csv(
                 )
             )
     _warn_skips(stats, path, "row")
-    return MeasurementSet._wrap(ColumnarStore(_join(chunks)))
+    return MeasurementSet._wrap(ColumnarStore(ColumnBatch.concat(chunks)))
 
 
 # -- the decoder -----------------------------------------------------------
@@ -277,7 +277,7 @@ def _warn_skips(stats: IngestStats, path: _PathLike, what: str) -> None:
 
 
 def _utf8_problem(text: str) -> Optional[SchemaError]:
-    """Why ``text`` (decoded with surrogateescape) is not UTF-8, if it is not."""
+    """Why ``text`` (decoded with surrogateescape) is not UTF-8, if so."""
     if text.isascii():
         return None
     try:
@@ -310,7 +310,8 @@ def _parse(
     documents: List[Any] = []
     linenos: List[int] = []
     failures: List[Tuple[int, Exception]] = []
-    for lineno, raw, text in zip(range(first, first + len(chunk)), chunk, texts):
+    lines = range(first, first + len(chunk))
+    for lineno, raw, text in zip(lines, chunk, texts):
         if not text:
             continue
         problem: Optional[Exception] = _utf8_problem(raw)
@@ -330,21 +331,22 @@ _NUMBER_FIELDS = ("timestamp",) + tuple(
     metric.field_name for metric in Metric.ordered()
 )
 _PLAIN_NUMBER = (float, int, type(None))
-#: Stands in for an absent ``meta`` (never mutated).
-_NO_META: Mapping[str, Any] = {}
-#: Stands in for a document that is not a JSON object (never mutated).
-_NOT_A_DOCUMENT: Mapping[str, Any] = {}
+#: Stands in for an absent ``meta`` and for a document that is not a
+#: JSON object (never mutated).
+_EMPTY: Mapping[str, Any] = {}
 _GET = {
     **{field: methodcaller("get", field) for field in _NUMBER_FIELDS},
     "region": methodcaller("get", "region"),
     "source": methodcaller("get", "source"),
     "isp": methodcaller("get", "isp", ""),
     "access_tech": methodcaller("get", "access_tech", ""),
-    "meta": methodcaller("get", "meta", _NO_META),
+    "meta": methodcaller("get", "meta", _EMPTY),
 }
 
 
-def _flag_unless(values: List[Any], plain: Tuple[type, ...], flagged: np.ndarray) -> List[Any]:
+def _flag_unless(
+    values: List[Any], plain: Tuple[type, ...], flagged: np.ndarray
+) -> List[Any]:
     """``values`` with every value of another type flagged and set to None."""
     if set(map(type, values)).issubset(plain):
         return values
@@ -369,13 +371,17 @@ def _number_column(values: List[Any], flagged: np.ndarray) -> np.ndarray:
     missing = np.isnan(column)
     if int(np.count_nonzero(missing)) != values.count(None):
         present = np.fromiter(
-            (value is not None for value in values), dtype=bool, count=len(values)
+            (value is not None for value in values),
+            dtype=bool,
+            count=len(values),
         )
         flagged |= missing & present
     return column
 
 
-def _key_column(values: List[Any], flagged: np.ndarray, required: bool) -> List[Any]:
+def _key_column(
+    values: List[Any], flagged: np.ndarray, required: bool
+) -> List[Any]:
     """Strings as-is; anything else (and, if ``required``, "") flagged."""
     values = _flag_unless(values, (str,), flagged)
     if required and "" in values:
@@ -385,8 +391,12 @@ def _key_column(values: List[Any], flagged: np.ndarray, required: bool) -> List[
     return values
 
 
-def _gather(documents: List[Any]):
-    """The chunk's fields as columns, and the rows the fast path cannot vouch for.
+def _gather(
+    documents: List[Any],
+) -> Tuple[
+    Dict[str, np.ndarray], Dict[str, List[Any]], List[Any], np.ndarray
+]:
+    """The chunk's fields as columns, and the rows no mask can vouch for.
 
     Returns (numbers, keys, meta, flagged): float64 columns per number
     field, value lists per key axis, the meta list, and a boolean mask
@@ -399,7 +409,7 @@ def _gather(documents: List[Any]):
         for row, document in enumerate(documents):
             if type(document) is not dict:
                 flagged[row] = True
-                documents[row] = _NOT_A_DOCUMENT
+                documents[row] = _EMPTY
     numbers = {
         field: _number_column(list(map(_GET[field], documents)), flagged)
         for field in _NUMBER_FIELDS
@@ -421,7 +431,10 @@ def _gather(documents: List[Any]):
     with np.errstate(invalid="ignore"):
         flagged |= ~((timestamp > -inf) & (timestamp < inf))
         flagged |= (
-            np.isnan(download) & np.isnan(upload) & np.isnan(latency) & np.isnan(loss)
+            np.isnan(download)
+            & np.isnan(upload)
+            & np.isnan(latency)
+            & np.isnan(loss)
         )
         for column in (download, upload):
             flagged |= ~(np.isnan(column) | ((column >= 0.0) & (column < inf)))
@@ -454,7 +467,7 @@ def _build(
         # convert): decode the whole chunk row by row.
         numbers = {field: np.full(n, np.nan) for field in _NUMBER_FIELDS}
         keys = {axis: [None] * n for axis in KEY_AXES}
-        meta = [_NO_META] * n
+        meta = [_EMPTY] * n
         flagged = np.ones(n, dtype=bool)
     keep = np.ones(n, dtype=bool)
     failures = list(failures)
@@ -468,7 +481,8 @@ def _build(
         numbers["timestamp"][row] = record.timestamp
         for metric in Metric.ordered():
             value = record.value(metric)
-            numbers[metric.field_name][row] = np.nan if value is None else value
+            column = numbers[metric.field_name]
+            column[row] = np.nan if value is None else value
         for axis in KEY_AXES:
             keys[axis][row] = getattr(record, axis)
         meta[row] = record.meta
@@ -476,7 +490,9 @@ def _build(
         failures.sort(key=lambda failure: failure[0])
         if on_error == "raise":
             lineno, exc = failures[0]
-            before = sum(1 for row in range(n) if keep[row] and linenos[row] < lineno)
+            before = sum(
+                1 for row in range(n) if keep[row] and linenos[row] < lineno
+            )
             read_counter.inc(before)
             stats.read += before
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
@@ -492,7 +508,10 @@ def _build(
     if kept < n:
         rows = np.flatnonzero(keep).tolist()
         numbers = {field: column[keep] for field, column in numbers.items()}
-        keys = {axis: [values[row] for row in rows] for axis, values in keys.items()}
+        keys = {
+            axis: [values[row] for row in rows]
+            for axis, values in keys.items()
+        }
         meta = [meta[row] for row in rows]
     read_counter.inc(kept)
     stats.read += kept
@@ -514,8 +533,3 @@ def _build(
         meta=meta,
     )
 
-
-def _join(chunks: List[ColumnBatch]) -> ColumnBatch:
-    if not chunks:
-        return ColumnBatch.from_records([])
-    return ColumnBatch.concat(chunks)

@@ -39,7 +39,13 @@ from repro.core.metrics import Metric
 from repro.obs import counter
 from repro.obs.health import get_health_monitor
 
-from .columnar import AggregateCube, ColumnBatch, as_batch
+from .columnar import (
+    AggregateCube,
+    ColumnBatch,
+    as_batch,
+    group_rows,
+    record_arrivals,
+)
 from .record import Measurement
 from .tdigest import DEFAULT_DELTA, TDigest
 
@@ -232,30 +238,25 @@ class SketchPlane:
         batch = as_batch(records)
         if not len(batch):
             return
-        width = max(1, len(batch.keys["source"]))
+        width = len(batch.keys["source"])
         cells = batch.codes["region"].astype(np.int64) * width
         cells += batch.codes["source"]
-        # Cells in first-seen order, each with its rows ascending.
         distinct, firsts, inverse = np.unique(
             cells, return_index=True, return_inverse=True
         )
-        order = np.argsort(inverse.reshape(-1), kind="stable")
-        bounds = np.cumsum(np.bincount(inverse.reshape(-1)))
+        rows = group_rows(inverse.reshape(-1), distinct.size)
         regions, sources = batch.keys["region"], batch.keys["source"]
-        for cell in np.argsort(firsts, kind="stable").tolist():
-            code = int(distinct[cell])
-            key = (regions[code // width], sources[code % width])
+        # Cells in first-seen order, as add() would create them.
+        for cell in np.argsort(firsts).tolist():
+            region, source = divmod(int(distinct[cell]), width)
+            key = (regions[region], sources[source])
             view = self._views.get(key)
             if view is None:
                 view = SketchView(delta=self.delta)
                 self._views[key] = view
-            start = int(bounds[cell - 1]) if cell else 0
-            view.observe_rows(batch, order[start : int(bounds[cell])])
+            view.observe_rows(batch, rows[cell])
         self._records += len(batch)
-        health = get_health_monitor()
-        if health is not None:
-            for region, source, at in batch.arrivals():
-                health.record_arrival(region, source, at)
+        record_arrivals(batch)
 
     # -- axes --------------------------------------------------------------
 
