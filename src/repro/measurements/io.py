@@ -36,8 +36,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import islice
-from operator import methodcaller
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -334,14 +333,15 @@ _PLAIN_NUMBER = (float, int, type(None))
 #: Stands in for an absent ``meta`` and for a document that is not a
 #: JSON object (never mutated).
 _EMPTY: Mapping[str, Any] = {}
-_GET = {
-    **{field: methodcaller("get", field) for field in _NUMBER_FIELDS},
-    "region": methodcaller("get", "region"),
-    "source": methodcaller("get", "source"),
-    "isp": methodcaller("get", "isp", ""),
-    "access_tech": methodcaller("get", "access_tech", ""),
-    "meta": methodcaller("get", "meta", _EMPTY),
-}
+#: What ``Measurement.from_dict`` reads for an absent optional field.
+_DEFAULTS = {"isp": "", "access_tech": "", "meta": _EMPTY}
+
+
+def _field(documents: List[dict], field: str) -> List[Any]:
+    """``document.get(field)`` per document, with from_dict's default."""
+    return list(
+        map(dict.get, documents, repeat(field), repeat(_DEFAULTS.get(field)))
+    )
 
 
 def _flag_unless(
@@ -411,18 +411,18 @@ def _gather(
                 flagged[row] = True
                 documents[row] = _EMPTY
     numbers = {
-        field: _number_column(list(map(_GET[field], documents)), flagged)
+        field: _number_column(_field(documents, field), flagged)
         for field in _NUMBER_FIELDS
     }
     keys = {
         axis: _key_column(
-            list(map(_GET[axis], documents)),
+            _field(documents, axis),
             flagged,
             required=axis in ("region", "source"),
         )
         for axis in KEY_AXES
     }
-    meta = _flag_unless(list(map(_GET["meta"], documents)), (dict,), flagged)
+    meta = _flag_unless(_field(documents, "meta"), (dict,), flagged)
     # Measurement.__post_init__, as masks (NaN stands for "absent").
     inf = np.inf
     timestamp = numbers["timestamp"]

@@ -139,6 +139,9 @@ CASES = {
     "numeric_isp": line(doc(isp=7)),
     "null_access_tech": line(doc(access_tech=None)),
     "meta_pair_list": line(doc(meta=[["streams", 4]])),
+    "meta_float_twin": line(
+        doc(meta={"streams": 1.0, "methodology": "single-stream-tcp"})
+    ),
     "meta_string": line(doc(meta="ab")),
     "meta_empty_string": line(doc(meta="")),
     "meta_null": line(doc(meta=None)),
