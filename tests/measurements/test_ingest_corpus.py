@@ -569,7 +569,9 @@ def jsonl_and_csv(tmp_path, data, name="corpus"):
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CASES))
-def test_each_case_matches_the_oracle(tmp_path, name):
+def test_each_case_matches_the_oracle(tmp_path, monkeypatch, name):
+    # Two-line decode chunks: the case line opens the second chunk.
+    monkeypatch.setattr(ingest, "CHUNK_LINES", 2, raising=False)
     data = case_file(name)
     path, csv_path = jsonl_and_csv(tmp_path, data, name)
     want = oracle(oracle_jsonl, data, str(path), "skip")
@@ -624,13 +626,16 @@ _POOL = (
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
+    lead=st.integers(0, 25),
     picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=60),
     torn=st.booleans(),
 )
-def test_random_mixes_match_the_oracle(monkeypatch, picks, torn):
-    # Small decode chunks, so a few dozen lines span several of them.
+def test_random_mixes_match_the_oracle(monkeypatch, lead, picks, torn):
+    # Small decode chunks, so a few dozen lines span several of them;
+    # the valid lead lines move the first bad line past the first chunk.
     monkeypatch.setattr(ingest, "CHUNK_LINES", 7, raising=False)
-    payload = b"".join(_POOL[i] + b"\n" for i in picks)
+    payload = b"".join(good(i).encode() + b"\n" for i in range(lead))
+    payload += b"".join(_POOL[i] + b"\n" for i in picks)
     if torn:
         payload += line(GOOD)[:30].encode()
     with tempfile.TemporaryDirectory() as directory:
