@@ -121,14 +121,14 @@ def build_tiles(
     labels = (
         (periods, len(period_names)),
         (batch.codes["source"], len(batch.keys["source"])),
-        (key_of_pair[pair_of.reshape(-1)], len(key_names)),
+        (key_of_pair[pair_of], len(key_names)),
     )
     # One dense code per (period, source, key) cell, combined a label
     # at a time so no product outgrows the row count squared.
     cells = np.zeros(len(batch), dtype=np.int64)
     for codes, size in labels:
         combined = cells * size + codes
-        cells = np.unique(combined, return_inverse=True)[1].reshape(-1)
+        cells = np.unique(combined, return_inverse=True)[1]
     grouped: Dict[Tuple[str, str], Dict[str, SketchView]] = {}
     for rows in group_rows(cells, int(cells.max()) + 1 if cells.size else 0):
         if not rows.size:

@@ -95,9 +95,7 @@ class MeasurementSet:
     def _wrap(cls, store: ColumnarStore) -> "MeasurementSet":
         """A set of ``store``'s current rows, built into records lazily."""
         out = cls._adopt([])
-        out._list = None
-        out._store = store
-        out._rows = len(store)
+        out._list, out._store, out._rows = None, store, len(store)
         return out
 
     @property

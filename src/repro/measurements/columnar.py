@@ -290,23 +290,25 @@ def _extend_index(
     return merged
 
 
-def _pairs(
+def pair_cells(
     codes: Mapping[str, np.ndarray], keys: Mapping[str, Sequence[str]]
-) -> Tuple[List[Tuple[str, str]], np.ndarray]:
-    """Distinct (region, dataset) pairs of a batch and each row's pair.
+) -> Tuple[List[Tuple[str, str]], np.ndarray, np.ndarray]:
+    """The distinct (region, dataset) pairs of coded rows, in code order.
 
-    Returns the pairs (in code order) and, per row, the index of its
-    pair in that list.
+    Returns the pairs, each row's index into them, and each pair's
+    first row.
     """
     width = max(1, len(keys["source"]))
     combined = codes["region"].astype(np.int64) * width + codes["source"]
-    distinct, inverse = np.unique(combined, return_inverse=True)
+    distinct, firsts, inverse = np.unique(
+        combined, return_index=True, return_inverse=True
+    )
     region_keys, source_keys = keys["region"], keys["source"]
     pairs = [
         (region_keys[code // width], source_keys[code % width])
         for code in distinct.tolist()
     ]
-    return pairs, inverse.reshape(-1)
+    return pairs, inverse, firsts
 
 
 def record_arrivals(batch: ColumnBatch) -> None:
@@ -728,7 +730,7 @@ class ColumnarStore:
         pairs = None
         planes: Dict[Metric, _MetricPlane] = {}
         if self._pair_slots is not None:
-            batch_pairs, inverse = _pairs(batch_codes, keys)
+            batch_pairs, inverse, _ = pair_cells(batch_codes, keys)
             added = [
                 pair for pair in batch_pairs if pair not in self._pair_slots
             ]
@@ -847,7 +849,7 @@ class ColumnarStore:
         """
         if self._pair_slots is not None:
             return
-        pairs, inverse = _pairs(self._codes, self._keys)
+        pairs, inverse, _ = pair_cells(self._codes, self._keys)
         order = sorted(range(len(pairs)), key=pairs.__getitem__)
         slot_of = np.empty(len(pairs), dtype=np.intp)
         slot_of[order] = np.arange(len(pairs), dtype=np.intp)

@@ -44,6 +44,7 @@ from .columnar import (
     ColumnBatch,
     as_batch,
     group_rows,
+    pair_cells,
     record_arrivals,
 )
 from .record import Measurement
@@ -238,18 +239,11 @@ class SketchPlane:
         batch = as_batch(records)
         if not len(batch):
             return
-        width = len(batch.keys["source"])
-        cells = batch.codes["region"].astype(np.int64) * width
-        cells += batch.codes["source"]
-        distinct, firsts, inverse = np.unique(
-            cells, return_index=True, return_inverse=True
-        )
-        rows = group_rows(inverse.reshape(-1), distinct.size)
-        regions, sources = batch.keys["region"], batch.keys["source"]
+        pairs, inverse, firsts = pair_cells(batch.codes, batch.keys)
+        rows = group_rows(inverse, len(pairs))
         # Cells in first-seen order, as add() would create them.
         for cell in np.argsort(firsts).tolist():
-            region, source = divmod(int(distinct[cell]), width)
-            key = (regions[region], sources[source])
+            key = pairs[cell]
             view = self._views.get(key)
             if view is None:
                 view = SketchView(delta=self.delta)

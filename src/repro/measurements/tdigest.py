@@ -83,6 +83,8 @@ class TDigest:
         low, high = min(floats), max(floats)
         limit = 4 * self.delta
         with self._lock:
+            # One 1.0 at a time, as add() counts: a count that is not a
+            # whole number would round differently if summed at once.
             count = self._count
             for _ in points:
                 count += 1.0
