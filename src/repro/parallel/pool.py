@@ -1,15 +1,14 @@
 """Sharded process-pool execution with merged telemetry.
 
 The execution layer under every parallel fan-out in the pipeline
-(file ingest, sketch-plane building, campaign simulation). One call
-shape:
+(sketch-plane building, campaign simulation). One call shape:
 
     results = run_sharded(worker, payload, shards, workers=N)
 
 ``worker(payload, shard)`` is a module-level function; ``payload`` is
 the large shared input (a record grouping, a config) and each ``shard``
-is a small descriptor of one slice of the work (region names, a byte
-range). Results come back as a list in *shard order*, regardless of
+is a small descriptor of one slice of the work (region names).
+Results come back as a list in *shard order*, regardless of
 completion order, so parallel output merges deterministically.
 
 Design decisions, in order of importance:
@@ -27,7 +26,7 @@ Design decisions, in order of importance:
    with the worker's pid, then ships ``snapshot(include_digests=True)``
    home; the parent folds every snapshot into its own registry via
    :meth:`~repro.obs.registry.MetricsRegistry.merge` in shard order.
-   Counters (quantile-cache hits, ingest skips) and span timers
+   Counters (quantile-cache hits, sketch updates) and span timers
    therefore read the same under ``iqb metrics`` whether the run was
    serial or sharded.
 
@@ -288,8 +287,8 @@ def run_sharded(
             boundary by reference) taking ``(payload, shard)``.
         payload: the shared input, delivered to workers by fork
             inheritance — never pickled, so size is effectively free.
-        shards: small per-shard descriptors (region-name tuples, byte
-            ranges); these *are* pickled, keep them light.
+        shards: small per-shard descriptors (region-name tuples);
+            these *are* pickled, keep them light.
         workers: target pool size; the pool never exceeds the shard
             count. ``<= 1`` runs serially.
         shard_keys: optional per-shard key lists for error reporting;
