@@ -16,7 +16,7 @@ from repro.core.exceptions import DataError
 from repro.core.kernel import score_values
 from repro.core.metrics import Metric
 from repro.core.scoring import score_regions
-from repro.measurements.columnar import AXES, ColumnarStore
+from repro.measurements.columnar import AXES, ColumnarStore, ColumnBatch
 from repro.measurements.record import Measurement
 from repro.obs import REGISTRY, snapshot
 
@@ -126,14 +126,21 @@ def assert_same_as_cold(store, records):
     assert scored(store) == scored(cold)
 
 
-def run_appends(initial, batches, level):
-    """Append each batch, checking against a cold store after each."""
-    store = ColumnarStore(list(initial))
+def run_appends(initial, batches, level, columns=False):
+    """Append each batch, checking against a cold store after each.
+
+    With ``columns``, the store starts from a column batch (no record
+    cache, as a read file does) and each batch arrives as columns.
+    """
+    if columns:
+        store = ColumnarStore(ColumnBatch.from_records(list(initial)))
+    else:
+        store = ColumnarStore(list(initial))
     warm(store, level)
     records = list(initial)
     for batch in batches:
         generation = store.generation
-        store.append(batch)
+        store.append(ColumnBatch.from_records(batch) if columns else batch)
         assert store.generation == generation + (1 if batch else 0)
         records.extend(batch)
         assert_same_as_cold(store, records)
@@ -175,9 +182,10 @@ _batch = st.lists(
     initial=_initial,
     batches=st.lists(_batch, min_size=1, max_size=6),
     level=st.sampled_from(WARM_LEVELS),
+    columns=st.booleans(),
 )
-def test_appends_match_a_cold_build(initial, batches, level):
-    run_appends(initial, batches, level)
+def test_appends_match_a_cold_build(initial, batches, level, columns):
+    run_appends(initial, batches, level, columns)
 
 
 # -- the named cases, pinned --------------------------------------------------
