@@ -609,15 +609,24 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _newlines(path, size: int) -> int:
-    """Newlines in the first ``size`` bytes of ``path``, read in blocks."""
+    """Line ends in the first ``size`` bytes of ``path``, read in blocks.
+
+    Counts ``\n``, ``\r\n`` and a lone ``\r`` once each, as the
+    readers' text mode splits lines.
+    """
     count = 0
+    last = b""
     with open(path, "rb") as handle:
         while size > 0:
             block = handle.read(min(size, 1 << 20))
             if not block:
                 break
             size -= len(block)
-            count += block.count(b"\n")
+            count += block.count(b"\n") + block.count(b"\r")
+            count -= block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):
+                count -= 1  # a \r\n split across two blocks
+            last = block[-1:]
     return count
 
 

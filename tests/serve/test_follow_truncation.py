@@ -4,11 +4,14 @@ regenerating the input): the follower must reset to byte zero and
 re-ingest instead of silently waiting for the file to outgrow a stale
 offset."""
 
+import io
 import json
 import threading
 import time
 
-from repro.cli import _follow_jsonl
+import pytest
+
+from repro.cli import _follow_jsonl, _newlines
 from repro.measurements.columnar import ColumnarStore
 from repro.obs import REGISTRY
 
@@ -136,3 +139,24 @@ def test_truncation_drops_buffered_partial_line(tmp_path):
         for ingested in follower.service.batches:
             for record in ingested:
                 assert record.region == "region-000"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"a\nb\r\nc\rd\n",
+        b"a\r\r\n\n\rb",
+        # A \r\n split across the counter's 1 MiB read blocks.
+        b"x" * ((1 << 20) - 1) + b"\r\ny\rz\n",
+    ],
+)
+def test_prefix_line_count_matches_the_readers(tmp_path, data):
+    """The follower numbers lines as read_jsonl's text mode splits them."""
+    path = tmp_path / "prefix.jsonl"
+    path.write_bytes(data)
+    lines = io.TextIOWrapper(
+        io.BytesIO(data), encoding="latin-1", newline=None
+    ).readlines()
+    complete = sum(1 for text in lines if text.endswith("\n"))
+    assert _newlines(str(path), len(data)) == complete
