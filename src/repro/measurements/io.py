@@ -117,7 +117,7 @@ def read_jsonl(
     if stats is None:
         stats = IngestStats()
     # surrogateescape: an undecodable byte reaches the decoder as a
-    # lone surrogate, which rejects that one line (see _parse).
+    # lone surrogate, which rejects that one line (see _utf8_problem).
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         batch = decode_jsonl(handle, path, on_error=on_error, stats=stats)
     _warn_skips(stats, path, "line")
@@ -134,9 +134,12 @@ def decode_jsonl(
     """Decode JSONL text lines into one :class:`ColumnBatch`.
 
     The single JSONL decoder: :func:`read_jsonl` feeds it a file, and
-    ``iqb serve --follow`` the complete lines it tails. ``path`` and
-    ``first_line`` (the number of the first line given) name the
-    offending line in errors.
+    ``iqb serve --follow`` the complete lines it tails. ``lines`` are
+    text as the readers' text mode yields it: ``\n``, ``\r\n`` and
+    ``\r`` end lines, and undecodable bytes arrive as lone surrogates
+    (``errors="surrogateescape"``), which mark their line malformed.
+    ``path`` and ``first_line`` (the number of the first line given)
+    name the offending line in errors.
 
     Raises:
         SchemaError: in ``"raise"`` mode, for the first malformed line.
