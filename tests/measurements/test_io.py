@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.measurements.io as ingest
 from repro.core.exceptions import SchemaError
 from repro.measurements.collection import MeasurementSet
 from repro.measurements.columnar import ColumnarStore
@@ -43,6 +44,24 @@ def records():
                 download_mbps=100.0,
                 latency_ms=9.0,
             ),
+        ]
+    )
+
+
+def numbered(count):
+    """``count`` records over three regions and two sources, in time order."""
+    return MeasurementSet(
+        [
+            Measurement(
+                region=f"r{i % 3}",
+                source=("ndt", "ookla")[i % 2],
+                timestamp=float(i),
+                download_mbps=100.0 + i,
+                upload_mbps=20.0,
+                latency_ms=15.0,
+                packet_loss=0.002,
+            )
+            for i in range(count)
         ]
     )
 
@@ -168,27 +187,44 @@ class TestEdgeFiles:
         assert len(read_csv(path)) == 0
 
     @pytest.mark.parametrize("count", [1, 2])
-    def test_few_lines(self, records, tmp_path, count):
+    def test_few_lines_jsonl(self, records, tmp_path, count):
         head = MeasurementSet(list(records)[:count])
-        jsonl, table = tmp_path / "few.jsonl", tmp_path / "few.csv"
-        write_jsonl(head, jsonl)
-        write_csv(head, table)
-        assert list(read_jsonl(jsonl)) == list(head)
-        assert [r.region for r in read_csv(table)] == [
+        path = tmp_path / "few.jsonl"
+        write_jsonl(head, path)
+        assert list(read_jsonl(path)) == list(head)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_few_rows_csv(self, records, tmp_path, count):
+        head = MeasurementSet(list(records)[:count])
+        path = tmp_path / "few.csv"
+        write_csv(head, path)
+        assert [r.region for r in read_csv(path)] == [
             r.region for r in head
         ]
 
-    def test_no_trailing_newline_jsonl(self, records, tmp_path):
+    # 25 lines in chunks of 2, 4 or 8: the unterminated last line is the
+    # only line of the final decode chunk.
+    @pytest.mark.parametrize("chunk_lines", [2, 4, 8])
+    def test_no_trailing_newline_jsonl(
+        self, tmp_path, monkeypatch, chunk_lines
+    ):
+        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk_lines)
+        records = numbered(25)
         path = tmp_path / "data.jsonl"
         write_jsonl(records, path)
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         assert list(read_jsonl(path)) == list(records)
 
-    def test_no_trailing_newline_csv(self, records, tmp_path):
+    @pytest.mark.parametrize("chunk_lines", [2, 4, 8])
+    def test_no_trailing_newline_csv(
+        self, tmp_path, monkeypatch, chunk_lines
+    ):
+        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk_lines)
+        records = numbered(25)
         path = tmp_path / "data.csv"
         write_csv(records, path)
         path.write_bytes(path.read_bytes().rstrip(b"\r\n"))
-        assert [r.region for r in read_csv(path)] == ["r1", "r2"]
+        assert list(read_csv(path)) == list(records)
 
     @pytest.mark.parametrize("read", [read_jsonl, read_csv])
     def test_missing_file_raises_oserror(self, read, tmp_path):
