@@ -56,7 +56,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
@@ -72,6 +72,22 @@ BENCH_FILES = (
     "test_bench_serve.py",
     "test_bench_cache.py",
 )
+
+
+
+def claim_bench_files() -> List[str]:
+    """The experiment benches outside :data:`BENCH_FILES`, repo-relative.
+
+    Each reproduces a paper figure, table or extension claim and
+    asserts its qualitative shape; none is timed against the baseline.
+    ``make claims`` runs them once as plain tests (``--benchmark-disable``).
+    """
+    return sorted(
+        str(path.relative_to(REPO_ROOT))
+        for path in BENCH_DIR.glob("test_bench_*.py")
+        if path.name not in BENCH_FILES
+    )
+
 
 #: The pair of kernel benches the summary speedup ratio is read from.
 SPEEDUP_BENCHES = (

@@ -106,21 +106,37 @@ class Measurement:
     def from_dict(cls, doc: Mapping[str, Any]) -> "Measurement":
         """Rebuild a record from :meth:`to_dict` output.
 
+        A null ``region`` or ``source`` is as malformed as an absent
+        one, a null ``isp`` or ``access_tech`` reads as absent (``""``),
+        and a boolean timestamp or metric is rejected rather than read
+        as 1.0 or 0.0.
+
         Raises:
             SchemaError: on missing required fields or bad types.
         """
         try:
+            region = doc["region"]
+            if region is None:
+                raise KeyError("region")
+            source = doc["source"]
+            if source is None:
+                raise KeyError("source")
+            timestamp = doc["timestamp"]
+            if timestamp is True or timestamp is False:
+                raise _boolean("timestamp", timestamp)
+            get = doc.get
+            isp, tech = get("isp"), get("access_tech")
             return cls(
-                region=str(doc["region"]),
-                source=str(doc["source"]),
-                timestamp=float(doc["timestamp"]),
-                download_mbps=_opt_float(doc.get("download_mbps")),
-                upload_mbps=_opt_float(doc.get("upload_mbps")),
-                latency_ms=_opt_float(doc.get("latency_ms")),
-                packet_loss=_opt_float(doc.get("packet_loss")),
-                isp=str(doc.get("isp", "")),
-                access_tech=str(doc.get("access_tech", "")),
-                meta=dict(doc.get("meta", {})),
+                region=str(region),
+                source=str(source),
+                timestamp=float(timestamp),
+                download_mbps=_opt_float(doc, "download_mbps"),
+                upload_mbps=_opt_float(doc, "upload_mbps"),
+                latency_ms=_opt_float(doc, "latency_ms"),
+                packet_loss=_opt_float(doc, "packet_loss"),
+                isp="" if isp is None else str(isp),
+                access_tech="" if tech is None else str(tech),
+                meta=dict(get("meta", {})),
             )
         except SchemaError:
             raise
@@ -129,5 +145,18 @@ class Measurement:
             raise SchemaError(f"malformed measurement document: {exc}") from exc
 
 
-def _opt_float(value: Any) -> Optional[float]:
-    return None if value is None else float(value)
+def _opt_float(doc: Mapping[str, Any], name: str) -> Optional[float]:
+    value = doc.get(name)
+    if value is None:
+        return None
+    if value is True or value is False:
+        raise _boolean(name, value)
+    return float(value)
+
+
+def _boolean(name: str, value: bool) -> SchemaError:
+    # bool is an int subclass: float() would read true as 1.0.
+    return SchemaError(
+        f"malformed measurement document: boolean {name}: "
+        f"{str(value).lower()}"
+    )

@@ -73,14 +73,17 @@ _EMPTY_HEADERS: Mapping[str, str] = {}
 class Response(NamedTuple):
     """One dispatched response, ready for the handler to write.
 
-    ``route`` is the *label* the request is accounted under (the
-    route-table entry, e.g. ``/v1/scores/:region`` — never the raw
-    concrete path, which would be unbounded-cardinality).
+    ``body`` is the encoded payload: each builder encodes once, so the
+    handler writes the bytes as they are (and a server may hand the
+    same response to many requests). ``route`` is the *label* the
+    request is accounted under (the route-table entry, e.g.
+    ``/v1/scores/:region`` — never the raw concrete path, which would
+    be unbounded-cardinality).
     """
 
     status: int
     content_type: str
-    body: str
+    body: bytes
     headers: Mapping[str, str] = _EMPTY_HEADERS
     route: str = UNKNOWN_ROUTE
 
@@ -91,9 +94,11 @@ def json_response(
     route: str,
     headers: Mapping[str, str] = _EMPTY_HEADERS,
 ) -> Response:
-    """A JSON :class:`Response` (sorted keys, trailing newline)."""
+    """A JSON :class:`Response` (sorted keys, trailing newline, UTF-8)."""
     body = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    return Response(status, JSON_CONTENT_TYPE, body, headers, route)
+    return Response(
+        status, JSON_CONTENT_TYPE, body.encode("utf-8"), headers, route
+    )
 
 
 class _TelemetryHandler(BaseHTTPRequestHandler):
@@ -129,7 +134,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             telemetry._request_finished()
 
     def _reply(self, response: Response) -> None:
-        payload = response.body.encode("utf-8")
+        payload = response.body
         try:
             self.send_response(response.status)
             self.send_header("Content-Type", response.content_type)
@@ -298,11 +303,16 @@ class TelemetryServer:
             if monitor is not None:
                 body += monitor.render_prometheus()
             body += self.render_http_prometheus()
-            return Response(200, _PROM_CONTENT_TYPE, body, route="/metrics")
+            return Response(
+                200, _PROM_CONTENT_TYPE, body.encode("utf-8"), route="/metrics"
+            )
         if path == "/metrics.json":
             body = self.registry.render_json() + "\n"
             return Response(
-                200, JSON_CONTENT_TYPE, body, route="/metrics.json"
+                200,
+                JSON_CONTENT_TYPE,
+                body.encode("utf-8"),
+                route="/metrics.json",
             )
         if path == "/healthz":
             status, document = self.health()
@@ -317,10 +327,11 @@ class TelemetryServer:
 
     def not_found(self, path: str) -> Response:
         """The 404 response, naming every served route."""
+        body = f"not found; try {', '.join(self.routes())}\n"
         return Response(
             404,
             "text/plain; charset=utf-8",
-            f"not found; try {', '.join(self.routes())}\n",
+            body.encode("utf-8"),
             route=self.route_label(path),
         )
 

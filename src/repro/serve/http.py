@@ -12,12 +12,25 @@ query API backed by a :class:`~repro.serve.service.ScoringService`:
 ``GET /v1/config``         the served scoring config + its digest
 =========================  ==============================================
 
+Each ``200`` is rendered once per plane generation: the server keeps
+the current generation's encoded responses (body bytes and ETag) in a
+memo keyed by path, so a repeat read is one lookup instead of a new
+document, breakdown walk and JSON encode. The memo holds one
+generation — 3 routes plus one body per region that has been asked
+for — and a body is stamped with the generation of the result it was
+rendered from, so a repeat read returns exactly the bytes a fresh
+render would. Nothing is rendered before the first read, and only
+``200`` responses are kept: ``304``/``404``/``422``/``503``/``500``
+are built per request, so a scan of unknown URLs cannot grow it.
+
 Score responses carry a strong ``ETag`` built from the config digest
 and the plane generation (``"<digest12>-<generation>"``). A client
 replaying it via ``If-None-Match`` gets ``304 Not Modified`` **iff**
-the generation is unchanged — the conditional check is a string
-compare against the current stamp, so polling dashboards cost nothing
-between ingests.
+the representation exists at the current generation with that tag —
+a memoized body is revalidated by comparing its stored ETag, so
+polling dashboards cost nothing between ingests. An empty plane is
+still a ``503`` and an unknown region a ``404``, whatever the header
+says (``*`` matches only a current representation, RFC 9110 §13.1.2).
 
 Per-region paths are accounted under the ``/v1/scores/:region`` route
 label (one metric series, not one per region), and every endpoint
@@ -27,7 +40,8 @@ latency timers, and drain-aware shutdown.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+import threading
+from typing import Callable, Dict, Mapping, Optional, Tuple
 from urllib.parse import unquote
 
 from repro.core.exceptions import DataError
@@ -46,6 +60,47 @@ from .service import ScoringService
 REGION_ROUTE = "/v1/scores/:region"
 
 _SCORES_PREFIX = "/v1/scores/"
+
+
+class _RenderMemo:
+    """One generation's rendered ``200`` responses, keyed by path.
+
+    The state is a single ``(generation, responses)`` pair replaced as
+    a whole on every store, so a lookup reads one consistent pair
+    without taking the lock; only stores serialize.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._state: Tuple[int, Dict[str, Response]] = (-1, {})
+
+    def get(self, path: str, generation: int) -> Optional[Response]:
+        """The stored response for ``path`` at ``generation``, or None."""
+        stamp, responses = self._state
+        return responses.get(path) if stamp == generation else None
+
+    def put(
+        self, path: str, generation: int, response: Response
+    ) -> Response:
+        """Keep ``response``, rendered from ``generation``; returns the
+        response to serve.
+
+        A newer generation replaces everything held; an older one is
+        served but not kept. When ``path`` is already held at this
+        generation the held response is returned, so every read of a
+        (path, generation) gets the same bytes.
+        """
+        with self._lock:
+            stamp, responses = self._state
+            if generation < stamp:
+                return response
+            if generation > stamp:
+                responses = {}
+            held = responses.get(path)
+            if held is not None:
+                return held
+            self._state = (generation, {**responses, path: response})
+            return response
 
 
 class ServeServer(TelemetryServer):
@@ -75,6 +130,7 @@ class ServeServer(TelemetryServer):
             health=health,
         )
         self.service = service
+        self._memo = _RenderMemo()
 
     # -- routing ------------------------------------------------------------
 
@@ -88,17 +144,64 @@ class ServeServer(TelemetryServer):
 
     def dispatch(self, path: str, headers: Mapping[str, str]) -> Response:
         if path == "/v1/scores":
-            return self._scores(headers)
+            return self._serve(path, headers, self._scores)
         if path.startswith(_SCORES_PREFIX) and path != _SCORES_PREFIX:
             region = unquote(path[len(_SCORES_PREFIX):])
-            return self._region(region, headers)
+            return self._serve(
+                _SCORES_PREFIX + region,
+                headers,
+                lambda key: self._region(key, region),
+            )
         if path == "/v1/national":
-            return self._national(headers)
+            return self._serve(path, headers, self._national)
         if path == "/v1/config":
-            return self._config(headers)
+            return self._serve(path, headers, self._config)
         return super().dispatch(path, headers)
 
-    # -- conditional-GET plumbing -------------------------------------------
+    # -- the render memo and conditional GETs -------------------------------
+
+    def _serve(
+        self,
+        key: str,
+        headers: Mapping[str, str],
+        render: Callable[[str], Response],
+    ) -> Response:
+        """Answer one /v1 read from the memo, rendering on a miss.
+
+        ``render(key)`` builds the response at the service's current
+        state and stores a ``200`` under its result's generation. Only
+        a ``200`` can turn into a ``304``: the memo holds a body only
+        for a representation that exists, and a miss renders exactly
+        what the plain GET would, so a conditional GET never sweeps
+        more than the plain one.
+        """
+        response = self._memo.get(key, self.service.generation)
+        if response is None:
+            response = render(key)
+        if response.status == 200:
+            etag = response.headers["ETag"]
+            if self._matches(headers, etag):
+                return Response(
+                    304, JSON_CONTENT_TYPE, b"", {"ETag": etag}, response.route
+                )
+        return response
+
+    def _rendered(
+        self,
+        key: str,
+        generation: int,
+        document: Mapping[str, object],
+        route: str,
+        etag: Optional[str] = None,
+    ) -> Response:
+        """Encode one ``200`` and keep it under ``generation``.
+
+        ``etag`` defaults to the score ETag of ``generation``.
+        """
+        if etag is None:
+            etag = self.service.etag(generation)
+        response = json_response(200, document, route, {"ETag": etag})
+        return self._memo.put(key, generation, response)
 
     @staticmethod
     def _matches(headers: Mapping[str, str], etag: str) -> bool:
@@ -114,11 +217,6 @@ class ServeServer(TelemetryServer):
                 return True
         return False
 
-    def _not_modified(self, etag: str, route: str) -> Response:
-        return Response(
-            304, JSON_CONTENT_TYPE, "", {"ETag": etag}, route
-        )
-
     def _no_data(self, route: str) -> Response:
         return json_response(
             503,
@@ -130,32 +228,23 @@ class ServeServer(TelemetryServer):
             {"Retry-After": "1"},
         )
 
-    # -- /v1 endpoints -------------------------------------------------------
+    # -- /v1 renders ---------------------------------------------------------
 
-    def _scores(self, headers: Mapping[str, str]) -> Response:
+    def _scores(self, key: str) -> Response:
         route = "/v1/scores"
-        current = self.service.etag()
-        if self._matches(headers, current):
-            return self._not_modified(current, route)
         if self.service.empty:
             return self._no_data(route)
         result = self.service.scores()
-        etag = self.service.etag(result.generation)
         document = {
             "generation": result.generation,
             "config_sha256": self.service.config_sha256,
             "quantiles": result.quantile_source,
             "regions": dict(sorted(result.values.items())),
         }
-        return json_response(200, document, route, {"ETag": etag})
+        return self._rendered(key, result.generation, document, route)
 
-    def _region(
-        self, region: str, headers: Mapping[str, str]
-    ) -> Response:
+    def _region(self, key: str, region: str) -> Response:
         route = REGION_ROUTE
-        current = self.service.etag()
-        if self._matches(headers, current):
-            return self._not_modified(current, route)
         if self.service.empty:
             return self._no_data(route)
         try:
@@ -169,20 +258,16 @@ class ServeServer(TelemetryServer):
                 },
                 route,
             )
-        etag = self.service.etag(generation)
         document = {
             "generation": generation,
             "config_sha256": self.service.config_sha256,
             "region": region,
             "breakdown": breakdown.to_dict(),
         }
-        return json_response(200, document, route, {"ETag": etag})
+        return self._rendered(key, generation, document, route)
 
-    def _national(self, headers: Mapping[str, str]) -> Response:
+    def _national(self, key: str) -> Response:
         route = "/v1/national"
-        current = self.service.etag()
-        if self._matches(headers, current):
-            return self._not_modified(current, route)
         if self.service.empty:
             return self._no_data(route)
         try:
@@ -199,7 +284,6 @@ class ServeServer(TelemetryServer):
                 route,
             )
         rollup = result.national
-        etag = self.service.etag(result.generation)
         document = {
             "generation": result.generation,
             "config_sha256": self.service.config_sha256,
@@ -216,15 +300,18 @@ class ServeServer(TelemetryServer):
                 for share in rollup.ranked_by_shortfall()
             ],
         }
-        return json_response(200, document, route, {"ETag": etag})
+        return self._rendered(key, result.generation, document, route)
 
-    def _config(self, headers: Mapping[str, str]) -> Response:
-        route = "/v1/config"
+    def _config(self, key: str) -> Response:
         # The config never changes for a server's lifetime; its ETag
-        # is the digest alone (generation-independent on purpose).
-        etag = f'"{self.service.config_sha256}"'
-        if self._matches(headers, etag):
-            return self._not_modified(etag, route)
-        return json_response(
-            200, self.service.config_document(), route, {"ETag": etag}
+        # is the digest alone (generation-independent on purpose). Its
+        # body is the same at every generation, so it is kept under
+        # the current one and re-rendered once after each ingest.
+        document = self.service.config_document()
+        return self._rendered(
+            key,
+            self.service.generation,
+            document,
+            "/v1/config",
+            f'"{self.service.config_sha256}"',
         )

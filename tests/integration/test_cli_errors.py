@@ -92,6 +92,24 @@ class TestMalformedInput:
         assert skip_events[0]["ctx"] == {"read": 2, "skipped": 1}
 
 
+    def test_skip_mode_drops_a_null_region_line(self, tmp_path):
+        null_region = GOOD_LINE.replace('"r1"', "null")
+        path = tmp_path / "null_region.jsonl"
+        path.write_text("\n".join([GOOD_LINE, null_region, GOOD_LINE]) + "\n")
+        result = run_cli(
+            "--log-json", "score", str(path), "--on-error", "skip", "--json"
+        )
+        assert result.returncode == 0, result.stderr
+        assert sorted(json.loads(result.stdout)["regions"]) == ["r1"]
+        events = [
+            json.loads(line)
+            for line in result.stderr.splitlines()
+            if line.startswith("{")
+        ]
+        skips = [e["ctx"] for e in events if "skipped" in e["event"]]
+        assert skips == [{"read": 2, "skipped": 1}]
+
+
 class TestMetricsCommand:
     def test_snapshot_covers_the_whole_pipeline(self, dirty_file):
         result = run_cli(

@@ -114,6 +114,47 @@ class TestSerialization:
         doc["download_mbps"] = "55.5"
         assert Measurement.from_dict(doc).download_mbps == 55.5
 
+    @pytest.mark.parametrize("field", ["region", "source"])
+    def test_from_dict_null_required_field_is_absent(self, field):
+        doc = make().to_dict()
+        doc[field] = None
+        with pytest.raises(SchemaError) as null_error:
+            Measurement.from_dict(doc)
+        del doc[field]
+        with pytest.raises(SchemaError) as absent_error:
+            Measurement.from_dict(doc)
+        assert str(null_error.value) == str(absent_error.value)
+        assert field in str(null_error.value)
+
+    @pytest.mark.parametrize("field", ["isp", "access_tech"])
+    def test_from_dict_null_optional_key_reads_as_absent(self, field):
+        doc = make(isp="CoaxCo", access_tech="cable").to_dict()
+        doc[field] = None
+        record = Measurement.from_dict(doc)
+        assert getattr(record, field) == ""
+        del doc[field]
+        assert Measurement.from_dict(doc) == record
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("timestamp", True),
+            ("download_mbps", True),
+            ("upload_mbps", False),
+            ("latency_ms", True),
+            ("packet_loss", False),
+        ],
+    )
+    def test_from_dict_rejects_booleans(self, field, value):
+        doc = make().to_dict()
+        doc[field] = value
+        with pytest.raises(SchemaError) as error:
+            Measurement.from_dict(doc)
+        assert str(error.value) == (
+            f"malformed measurement document: boolean {field}: "
+            f"{'true' if value else 'false'}"
+        )
+
 
 class TestValueAccess:
     @pytest.mark.parametrize(

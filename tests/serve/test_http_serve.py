@@ -7,10 +7,19 @@ import urllib.request
 
 import pytest
 
+import repro.serve.http as serve_http
 from repro.measurements.columnar import ColumnarStore
 from repro.measurements.io import write_jsonl
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import REGISTRY, MetricsRegistry
 from repro.serve import ScoringService, ServeServer
+
+#: Every /v1 route, with one region path.
+V1_PATHS = (
+    "/v1/scores",
+    "/v1/scores/region-001",
+    "/v1/national",
+    "/v1/config",
+)
 
 
 def _get(url, etag=None):
@@ -41,6 +50,32 @@ def registry():
 @pytest.fixture()
 def service(store, config):
     return ScoringService(store, config)
+
+
+def _sweeps():
+    return REGISTRY.counter("serve.compute.sweeps").value
+
+
+def _held(server):
+    """(generation, sorted paths) of the server's render memo."""
+    generation, responses = server._memo._state
+    return generation, sorted(responses)
+
+
+@pytest.fixture()
+def renders(monkeypatch):
+    """Counts the 200 bodies the /v1 routes encode."""
+    counted = []
+    build = serve_http.json_response
+
+    def counting(status, *args, **kwargs):
+        response = build(status, *args, **kwargs)
+        if status == 200:
+            counted.append(response)
+        return response
+
+    monkeypatch.setattr(serve_http, "json_response", counting)
+    return counted
 
 
 @pytest.fixture()
@@ -246,3 +281,226 @@ class TestTelemetrySurface:
 
     def test_drain_idle_server(self, server):
         assert server.drain(timeout=1.0) is True
+
+
+class TestConditionalGetNeedsARepresentation:
+    """304 only for a representation that exists at this generation."""
+
+    def test_unknown_region_is_404_whatever_the_header(self, service):
+        server = ServeServer(service, registry=MetricsRegistry())
+        current = service.etag()
+        for header in (current, "*", f"W/{current}"):
+            response = server.dispatch(
+                "/v1/scores/no-such-region", {"If-None-Match": header}
+            )
+            assert response.status == 404, header
+            assert json.loads(response.body)["error"] == (
+                "unknown region: no-such-region"
+            )
+
+    def test_empty_plane_is_503_whatever_the_header(self, config):
+        service = ScoringService(ColumnarStore([]), config)
+        server = ServeServer(service, registry=MetricsRegistry())
+        for path in ("/v1/scores", "/v1/scores/r", "/v1/national"):
+            for header in ("*", service.etag()):
+                response = server.dispatch(path, {"If-None-Match": header})
+                assert response.status == 503, (path, header)
+                assert response.headers["Retry-After"] == "1"
+
+    def test_uncovered_population_table_is_422_whatever_the_header(
+        self, store, config
+    ):
+        service = ScoringService(
+            store, config, populations={"region-000": 1.0}
+        )
+        server = ServeServer(service, registry=MetricsRegistry())
+        for header in ("*", service.etag()):
+            response = server.dispatch(
+                "/v1/national", {"If-None-Match": header}
+            )
+            assert response.status == 422, header
+
+    def test_star_matches_an_existing_region(self, service):
+        server = ServeServer(service, registry=MetricsRegistry())
+        response = server.dispatch(
+            "/v1/scores/region-002", {"If-None-Match": "*"}
+        )
+        assert response.status == 304
+        assert response.body == b""
+        assert response.headers["ETag"] == service.etag()
+
+    def test_revalidating_a_held_body_is_a_lookup(self, service, renders):
+        server = ServeServer(service, registry=MetricsRegistry())
+        for path in V1_PATHS:
+            etag = server.dispatch(path, {}).headers["ETag"]
+            rendered, sweeps = len(renders), _sweeps()
+            for header in (etag, f"W/{etag}", "*"):
+                response = server.dispatch(path, {"If-None-Match": header})
+                assert response.status == 304, (path, header)
+                assert response.headers["ETag"] == etag
+            assert (len(renders), _sweeps()) == (rendered, sweeps), path
+
+    def test_conditional_get_sweeps_no_more_than_the_plain_get(
+        self, config, records
+    ):
+        def sweeps_for(headers):
+            service = ScoringService(ColumnarStore(list(records)), config)
+            server = ServeServer(service, registry=MetricsRegistry())
+            before = _sweeps()
+            for path in V1_PATHS + ("/v1/scores/atlantis",):
+                server.dispatch(path, headers)
+            return _sweeps() - before
+
+        plain = sweeps_for({})
+        assert sweeps_for({"If-None-Match": "*"}) <= plain
+        assert sweeps_for({"If-None-Match": '"stale"'}) <= plain
+
+
+class TestRenderMemo:
+    def test_repeat_reads_render_once_and_match_a_fresh_server(
+        self, service, config, records, renders
+    ):
+        server = ServeServer(service, registry=MetricsRegistry())
+        first = {path: server.dispatch(path, {}) for path in V1_PATHS}
+        assert len(renders) == len(V1_PATHS)
+        for _ in range(5):
+            for path in V1_PATHS:
+                again = server.dispatch(path, {})
+                assert again.body == first[path].body
+                assert again.headers == first[path].headers
+        assert len(renders) == len(V1_PATHS)
+        # A percent-encoded path is the same representation.
+        assert server.dispatch("/v1/scores/region%2D001", {}).body == (
+            first["/v1/scores/region-001"].body
+        )
+        assert len(renders) == len(V1_PATHS)
+
+        fresh = ServeServer(
+            ScoringService(ColumnarStore(list(records)), config),
+            registry=MetricsRegistry(),
+        )
+        for path in V1_PATHS:
+            response = fresh.dispatch(path, {})
+            assert response.status == 200
+            assert response.body == first[path].body, path
+            assert response.headers == first[path].headers, path
+
+    def test_region_breakdown_walked_once(self, service, monkeypatch):
+        from repro.core.scoring import ScoreBreakdown
+
+        walks = []
+        to_dict = ScoreBreakdown.to_dict
+
+        def counting(self):
+            walks.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(ScoreBreakdown, "to_dict", counting)
+        server = ServeServer(service, registry=MetricsRegistry())
+        for _ in range(10):
+            assert server.dispatch("/v1/scores/region-000", {}).status == 200
+        assert len(walks) == 1
+
+    def test_ingest_retires_every_held_body(self, service, records, renders):
+        server = ServeServer(service, registry=MetricsRegistry())
+        for path in V1_PATHS:
+            server.dispatch(path, {})
+        assert _held(server) == (0, sorted(V1_PATHS))
+
+        service.ingest(
+            [dataclasses.replace(records[0], region="region-new")]
+        )
+        scores = server.dispatch("/v1/scores", {})
+        assert json.loads(scores.body)["generation"] == 1
+        assert "region-new" in json.loads(scores.body)["regions"]
+        assert scores.headers["ETag"] == service.etag(1)
+        assert _held(server) == (1, ["/v1/scores"])
+        for path in ("/v1/national", "/v1/scores/region-001"):
+            response = server.dispatch(path, {})
+            assert json.loads(response.body)["generation"] == 1, path
+            assert response.headers["ETag"] == service.etag(1)
+        assert _held(server) == (
+            1,
+            ["/v1/national", "/v1/scores", "/v1/scores/region-001"],
+        )
+
+    def test_body_stamped_with_its_results_generation(
+        self, service, records, renders
+    ):
+        """An ingest landing between the lookup and the render must not
+        file the new body under the generation observed before it."""
+        server = ServeServer(service, registry=MetricsRegistry())
+        scores = service.scores
+
+        def ingest_then_score():
+            service.ingest(
+                [dataclasses.replace(records[0], region="region-new")]
+            )
+            return scores()
+
+        service.scores = ingest_then_score
+        try:
+            response = server.dispatch("/v1/scores", {})
+        finally:
+            del service.scores
+        assert json.loads(response.body)["generation"] == 1
+        assert _held(server) == (1, ["/v1/scores"])
+        assert server.dispatch("/v1/scores", {}) is response
+        assert len(renders) == 1
+
+    def test_older_generation_served_but_not_kept(
+        self, service, records, renders
+    ):
+        server = ServeServer(service, registry=MetricsRegistry())
+        stale = service.scores()
+        service.ingest(
+            [dataclasses.replace(records[0], region="region-new")]
+        )
+        national = server.dispatch("/v1/national", {})
+        assert _held(server) == (1, ["/v1/national"])
+
+        service.scores = lambda: stale
+        try:
+            old = server.dispatch("/v1/scores", {})
+        finally:
+            del service.scores
+        assert old.status == 200
+        assert json.loads(old.body)["generation"] == 0
+        assert _held(server) == (1, ["/v1/national"])
+        assert server.dispatch("/v1/national", {}) is national
+        current = server.dispatch("/v1/scores", {})
+        assert json.loads(current.body)["generation"] == 1
+
+    def test_unknown_region_scan_leaves_memo_unchanged(self, service):
+        server = ServeServer(service, registry=MetricsRegistry())
+        for path in V1_PATHS:
+            server.dispatch(path, {})
+        held = _held(server)
+        for i in range(1000):
+            response = server.dispatch(f"/v1/scores/unknown-{i}", {})
+            assert response.status == 404
+        assert _held(server) == held
+
+    def test_errors_are_never_held(self, config, records):
+        service = ScoringService(ColumnarStore([]), config)
+        server = ServeServer(service, registry=MetricsRegistry())
+        assert server.dispatch("/v1/scores", {}).status == 503
+        assert server.dispatch("/v1/scores/region-000", {}).status == 503
+        assert _held(server)[1] == []
+        service.ingest(list(records))
+        assert server.dispatch("/v1/scores", {}).status == 200
+        assert server.dispatch("/v1/scores/region-000", {}).status == 200
+
+    def test_nothing_rendered_before_the_first_read(
+        self, service, records, renders
+    ):
+        server = ServeServer(service, registry=MetricsRegistry())
+        server.start()
+        try:
+            service.ingest(
+                [dataclasses.replace(records[0], region="region-new")]
+            )
+            assert renders == []
+            assert _held(server)[1] == []
+        finally:
+            server.stop()
