@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Scoring-benchmark regression gate.
 
-Runs the scale, Eq. 1-5 scoring, parallel, kernel, streaming, and
-serving benches under
-``pytest-benchmark``, writes the machine-readable results to
-``BENCH_scale.json``, and fails (exit code 1) when any scoring
-benchmark regresses more than the allowed fraction (default 20%)
-against the checked-in baseline ``benchmarks/BENCH_baseline.json``.
+Runs the scale, Eq. 1-5 scoring, kernel, streaming, health, serving
+and cache benches under ``pytest-benchmark``, writes the
+machine-readable results to ``BENCH_scale.json``, and fails (exit
+code 1) when any scoring benchmark regresses more than the allowed
+fraction (default 20%) against the checked-in baseline
+``benchmarks/BENCH_baseline.json``.
 
 Two measures keep the gate meaningful on shared/noisy machines, where
 raw wall-clock medians of an *unchanged* tree swing far beyond 20%
@@ -65,7 +65,6 @@ RESULTS_PATH = REPO_ROOT / "BENCH_scale.json"
 BENCH_FILES = (
     "test_bench_scale.py",
     "test_bench_eq_scoring.py",
-    "test_bench_parallel.py",
     "test_bench_kernel.py",
     "test_bench_streaming.py",
     "test_bench_health.py",

@@ -2,12 +2,14 @@
 
 Paper artifact: none directly; the framework is pitched as a continuously
 updated public barometer, so the reproduction documents what the
-scoring pipeline costs. Two benches:
+scoring pipeline costs. Among the benches:
 
 * scoring cost for one region as the per-dataset measurement volume
   grows (the percentile aggregation dominates);
 * full-pipeline cost (simulate + score) per region, the number that
-  bounds how many regions a periodic barometer refresh can cover.
+  bounds how many regions a periodic barometer refresh can cover;
+* ``score_regions`` over a cold columnar store of all six presets at
+  the largest volume, in one process, as every command scores.
 """
 
 import pytest
@@ -15,6 +17,10 @@ import pytest
 from repro.core import score_region, score_regions
 from repro.measurements import ColumnarStore, MeasurementSet
 from repro.netsim import CampaignConfig, region_preset, simulate_region
+from repro.netsim.population import REGION_PRESETS
+
+#: Matches the largest volume in test_bench_scoring_vs_volume's sweep.
+TESTS_PER_CLIENT = 1600
 
 
 @pytest.mark.parametrize("tests_per_client", [100, 400, 1600])
@@ -77,3 +83,27 @@ def test_bench_batch_score_regions(benchmark, config):
         assert breakdowns[region] == score_region(
             subset.group_by_source(), config
         )
+
+
+@pytest.fixture(scope="module")
+def large_batch():
+    """All six presets at the largest scale-bench volume."""
+    campaign = CampaignConfig(
+        subscribers=50, tests_per_client=TESTS_PER_CLIENT
+    )
+    combined = MeasurementSet()
+    for name in sorted(REGION_PRESETS):
+        combined = combined + simulate_region(
+            region_preset(name), seed=42, config=campaign
+        )
+    return list(combined)
+
+
+def test_bench_score_regions_serial(benchmark, config, large_batch):
+    """Baseline: the columnar batch path, one process."""
+
+    def serial():
+        return score_regions(ColumnarStore(large_batch), config)
+
+    breakdowns = benchmark(serial)
+    assert len(breakdowns) == len(REGION_PRESETS)

@@ -51,14 +51,8 @@ Subcommands:
 
 Global flags: ``--log-level {debug,info,warning,error}`` and
 ``--log-json`` configure structured logging for every subcommand
-(events go to stderr; stdout stays clean for command output);
-``--workers N`` shards campaign simulation across a forked worker pool
-(``N <= 1`` keeps everything in-process; results are identical either
-way and worker telemetry merges back into the run's metrics). Reading
-and scoring always run in-process, so ``--workers`` cannot change a
-score: a forked reader lost to the serial one, and sharding scoring by
-region cost more in fork and merge overhead than it saved (see "Sizing
-``--workers``" in docs/deployment.md).
+(events go to stderr; stdout stays clean for command output). Every
+command runs in one process.
 Live-operations flags, also global:
 
 * ``--telemetry-port N`` — serve ``/metrics`` (Prometheus),
@@ -103,7 +97,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.manifest import MANIFEST_SUFFIX, RunManifest
-from repro.parallel import ShardError
 
 #: The active invocation's provenance accumulator (set by :func:`main`;
 #: commands register configs/inputs/outputs on it as they run).
@@ -167,6 +160,13 @@ def _check_cache_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _check_window_days(args: argparse.Namespace) -> Optional[str]:
+    """Reject a non-positive ``--window-days`` by the flag's name."""
+    if args.window_days > 0:
+        return None
+    return f"--window-days must be positive: {args.window_days}"
+
+
 def _start_telemetry(args: argparse.Namespace) -> Optional[TelemetryServer]:
     """Bring up the telemetry endpoint when ``--telemetry-port`` is set."""
     global _TELEMETRY
@@ -200,15 +200,17 @@ def _record_degraded(breakdowns) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     names = args.regions or sorted(REGION_PRESETS)
     profiles = [region_preset(name) for name in names]
-    campaign = CampaignConfig(
-        subscribers=args.subscribers,
-        tests_per_client=args.tests,
-        days=args.days,
-        wifi_share=args.wifi_share,
-    )
-    records = simulate_regions(
-        profiles, seed=args.seed, config=campaign, workers=args.workers
-    )
+    try:
+        campaign = CampaignConfig(
+            subscribers=args.subscribers,
+            tests_per_client=args.tests,
+            days=args.days,
+            wifi_share=args.wifi_share,
+        )
+    except ValueError as exc:
+        print(f"iqb: error: {exc}", file=sys.stderr)
+        return 2
+    records = simulate_regions(profiles, seed=args.seed, config=campaign)
     count = write_jsonl(records, args.output)
     if _RUN is not None:
         _RUN.add_output(args.output)
@@ -314,6 +316,10 @@ def _cmd_trend(args: argparse.Namespace) -> int:
     from repro.analysis.temporal import score_time_series, trend
     from repro.core.exceptions import DataError
 
+    problem = _check_window_days(args)
+    if problem is not None:
+        print(f"iqb: error: {problem}", file=sys.stderr)
+        return 2
     records = _read_measurements(args)
     config = _load_config(args.config)
     points = score_time_series(
@@ -511,6 +517,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.probing.monitor import BarometerMonitor
     from repro.resilience import window_key
 
+    problem = _check_window_days(args)
+    if problem is not None:
+        print(f"iqb: error: {problem}", file=sys.stderr)
+        return 2
     records = _read_measurements(args)
     config = _load_config(args.config)
     if len(records) == 0:
@@ -866,6 +876,10 @@ def _cmd_health(args: argparse.Namespace) -> int:
     from repro.obs.health import HealthMonitor, install_health_monitor
     from repro.probing.monitor import BarometerMonitor
 
+    problem = _check_window_days(args)
+    if problem is not None:
+        print(f"iqb: error: {problem}", file=sys.stderr)
+        return 2
     records = _read_measurements(args)
     config = _load_config(args.config)
     if len(records) == 0:
@@ -958,15 +972,21 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
             profiles=profiles, seed=args.seed, subscribers=args.subscribers
         )
 
-    telemetry = _start_telemetry(args)
     try:
-        adaptive = AdaptiveAllocator(
+        allocator = AdaptiveAllocator(
             backend(),
             config,
             seed=args.seed,
             pilot_per_region=args.pilot,
             quantiles=args.quantiles or "exact",
-        ).run(total_budget=args.budget, rounds=args.rounds)
+        )
+        allocator.check_budget(args.budget, args.rounds)
+    except ValueError as exc:
+        print(f"iqb: error: {exc}", file=sys.stderr)
+        return 2
+    telemetry = _start_telemetry(args)
+    try:
+        adaptive = allocator.run(total_budget=args.budget, rounds=args.rounds)
         uniform = uniform_campaign(
             backend(), config, total_budget=args.budget, seed=args.seed
         )
@@ -1021,12 +1041,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     profiles = [region_preset(name) for name in names]
     with span("pipeline"):
         with span("probe"):
-            backend = SimulatedBackend(
-                profiles=profiles,
-                seed=args.seed,
-                subscribers=args.subscribers,
-                failure_rate=args.failure_rate,
-            )
+            try:
+                backend = SimulatedBackend(
+                    profiles=profiles,
+                    seed=args.seed,
+                    subscribers=args.subscribers,
+                    failure_rate=args.failure_rate,
+                )
+            except ValueError as exc:
+                print(f"iqb: error: {exc}", file=sys.stderr)
+                return 2
             sink = MemorySink()
             runner = ProbeRunner(backend, sink, max_attempts=3)
             window = 7.0 * 86400.0
@@ -1307,16 +1331,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-json",
         action="store_true",
         help="emit log events as JSONL instead of human text",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard campaign simulation across N forked worker "
-        "processes (default 1 = fully in-process; results are "
-        "identical either way; reading and scoring always run "
-        "in-process)",
     )
     parser.add_argument(
         "--quantiles",
@@ -1931,7 +1945,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 pass
         print("iqb: interrupted", file=sys.stderr)
         return 130
-    except (OSError, SchemaError, ShardError) as exc:
+    except (OSError, SchemaError) as exc:
         print(f"iqb: error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -24,9 +24,9 @@ scoring", for measured bounds; the parity suite pins p95/p99 relative
 error ≤ 1% vs the exact plane).
 
 Planes are mergeable and serializable (``merge`` / ``to_state`` /
-``from_state``), mirroring the t-digest plumbing PR 4 ships for shard
-timer telemetry: workers sketch their shard and the parent merges, and
-monitor journals can checkpoint sketch state instead of raw records.
+``from_state``): cache tiles hold per-(period, source) plane states
+that ``warm_plane`` merges, and monitor journals can checkpoint sketch
+state instead of raw records.
 """
 
 from __future__ import annotations
@@ -163,8 +163,17 @@ class SketchView:
             else:
                 source = own if own is not None else theirs
                 assert source is not None
-                merged._digests[metric] = TDigest.from_state(source.to_state())
+                merged._digests[metric] = source.copy()
         return merged
+
+    def copy(self) -> "SketchView":
+        """An independent view whose digests equal this one's exactly."""
+        clone = SketchView(delta=self._delta)
+        clone._records = self._records
+        clone._digests = {
+            metric: digest.copy() for metric, digest in self._digests.items()
+        }
+        return clone
 
 
 class SketchPlane:
@@ -175,7 +184,7 @@ class SketchPlane:
     scoring kernel reads the cube; per-region callers score the
     views), but built by
     O(1)-amortized ``add`` instead of a batch transpose, and mergeable
-    across shards and serializable into journals.
+    across cache tiles and serializable into journals.
     """
 
     #: Native quantile plane (kernel provenance): streaming t-digests.
@@ -329,7 +338,7 @@ class SketchPlane:
     # -- state / merge -----------------------------------------------------
 
     def to_state(self) -> dict:
-        """JSON-compatible mergeable state (journals, shard shipping)."""
+        """JSON-compatible mergeable state (cache tiles, journals)."""
         return {
             "delta": self.delta,
             "records": self._records,
@@ -353,11 +362,13 @@ class SketchPlane:
     def merge(self, other: "SketchPlane") -> "SketchPlane":
         """A new plane summarizing both inputs (inputs unchanged).
 
-        Disjoint cells are copied; shared cells t-digest-merge, so
-        per-shard planes built over partitioned records combine into
-        exactly the plane a single pass would have built (same counts,
-        sketch-equivalent quantiles) — the same contract PR 4's shard
-        timer digests rely on.
+        A cell that only one side holds is copied exactly, centroids
+        and buffer as they are: t-digest compression is not idempotent,
+        so a ``to_state``/``from_state`` round trip would compress the
+        copy again and move its quantiles. Cells both sides hold
+        t-digest-merge. So planes built over records partitioned by
+        cell combine into exactly the plane a single pass would have
+        built, which is how ``warm_plane`` folds one-period tiles.
         """
         merged = SketchPlane(delta=min(self.delta, other.delta))
         merged._records = self._records + other._records
@@ -369,9 +380,7 @@ class SketchPlane:
             else:
                 source = own if own is not None else theirs
                 assert source is not None
-                merged._views[key] = SketchView.from_state(
-                    source.to_state(), delta=source._delta
-                )
+                merged._views[key] = source.copy()
         return merged
 
 

@@ -131,7 +131,24 @@ class TDigest:
         with self._lock:
             return self._all_centroids(), self._count, self._min, self._max
 
-    # -- mergeable state (cross-process shipping) ---------------------------
+    def copy(self) -> "TDigest":
+        """An independent digest equal to this one in every field.
+
+        Centroids and buffer are copied as they are, under the lock.
+        A :meth:`to_state`/:meth:`from_state` round trip is not a copy:
+        it hands the centroids to :meth:`_compress` again, and
+        compression is not idempotent.
+        """
+        clone = TDigest(delta=self.delta)
+        with self._lock:
+            clone._centroids = list(self._centroids)
+            clone._buffer = list(self._buffer)
+            clone._count = self._count
+            clone._min = self._min
+            clone._max = self._max
+        return clone
+
+    # -- mergeable state (serialization) --------------------------------------
 
     def to_state(self) -> dict:
         """JSON-compatible mergeable state (centroids plus extremes).
@@ -139,8 +156,8 @@ class TDigest:
         The state round-trips through :meth:`from_state` with sketch
         accuracy preserved: centroids carry their weights, and the true
         observed min/max travel alongside (centroid means alone would
-        understate the extremes). This is what lets a worker process
-        ship its timer digests back to a parent registry.
+        understate the extremes). Cache tiles and the sketch
+        checkpoints in monitor journals are made of it.
         """
         points, count, minimum, maximum = self._snapshot()
         return {

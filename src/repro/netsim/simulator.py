@@ -105,56 +105,18 @@ def simulate_region(
     return MeasurementSet(records)
 
 
-def _simulate_profile_shard(
-    payload: Tuple[Tuple[RegionProfile, ...], int, Optional[CampaignConfig], Optional[Tuple[MeasurementClient, ...]]],
-    shard: Tuple[int, ...],
-) -> List[Measurement]:
-    """Simulate one shard of region campaigns (parallel worker side)."""
-    profiles, seed, config, clients = payload
-    records: List[Measurement] = []
-    for index in shard:
-        records.extend(
-            simulate_region(
-                profiles[index], seed=seed, config=config, clients=clients
-            )
-        )
-    return records
-
-
 def simulate_regions(
     profiles: Iterable[RegionProfile],
     seed: int,
     config: Optional[CampaignConfig] = None,
     clients: Optional[Sequence[MeasurementClient]] = None,
-    workers: int = 1,
 ) -> MeasurementSet:
     """Simulate campaigns for several regions into one combined set.
 
     Each region's RNG streams derive only from ``(seed, region,
-    client)``, so regions simulate independently: with ``workers > 1``
-    the per-region campaigns fan out across a forked worker pool
-    (:mod:`repro.parallel`) and concatenate in profile order —
-    bit-identical to the serial loop.
+    client)``, so a region's records do not depend on which other
+    regions are simulated; they concatenate in profile order.
     """
-    profiles = tuple(profiles)
-    if workers > 1 and len(profiles) > 1:
-        from repro.parallel import ShardPlan, run_sharded
-
-        plan = ShardPlan.for_keys(range(len(profiles)), workers)
-        shard_records = run_sharded(
-            _simulate_profile_shard,
-            (profiles, seed, config, tuple(clients) if clients is not None else None),
-            plan.shards,
-            workers=workers,
-            shard_keys=[
-                tuple(profiles[index].name for index in shard)
-                for shard in plan.shards
-            ],
-        )
-        combined: List[Measurement] = []
-        for part in shard_records:
-            combined.extend(part)
-        return MeasurementSet(combined)
     records: List[Measurement] = []
     for profile in profiles:
         records.extend(

@@ -8,9 +8,8 @@ The operational-telemetry layer every subsystem reports into:
 * :mod:`.logs` — structured logging setup (human text or JSONL),
   wired to the CLI's ``--log-level`` / ``--log-json`` flags;
 * :mod:`.spans` — nested context managers timing pipeline stages,
-  with trace-context propagation (trace/span/parent ids that survive
-  process forks) and an installable :class:`TraceRecorder` capturing
-  every completed span;
+  with trace context (trace/span/parent ids) and an installable
+  :class:`TraceRecorder` capturing every completed span;
 * :mod:`.slo` — declarative data-quality SLO rules with sliding
   multi-window burn-rate evaluation (OK / WARN / PAGE);
 * :mod:`.health` — the barometer health monitor: per-(region, dataset)
@@ -95,10 +94,8 @@ from .spans import (
     SpanRecord,
     TraceRecorder,
     current_span,
-    current_trace_context,
     get_trace_recorder,
     install_trace_recorder,
-    set_remote_parent,
     span,
     uninstall_trace_recorder,
 )
@@ -129,7 +126,6 @@ __all__ = [
     "TraceRecorder",
     "counter",
     "current_span",
-    "current_trace_context",
     "default_rules",
     "diff_manifests",
     "escape_help",
@@ -149,7 +145,6 @@ __all__ = [
     "render_diff",
     "render_prometheus",
     "reset",
-    "set_remote_parent",
     "setup_logging",
     "snapshot",
     "span",

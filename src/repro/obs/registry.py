@@ -88,7 +88,7 @@ class Gauge:
 
 
 class Timer:
-    """A duration/size histogram backed by a mergeable t-digest.
+    """A duration/size histogram backed by a t-digest.
 
     ``observe`` takes seconds (or any non-negative magnitude); the
     snapshot reports count, total, and p50/p95/max from the digest.
@@ -134,7 +134,7 @@ class Timer:
 
         ``exemplar`` optionally attaches a span id to the observation;
         the timer keeps the exemplar of its largest observation (the
-        slow-shard pointer an operator actually wants).
+        slow-span pointer an operator actually wants).
         """
         self.count += 1
         self.total += value
@@ -164,54 +164,6 @@ class Timer:
             if self._digest is None:
                 return None
             return self._digest.quantile_or_none(percentile)
-
-    def digest_state(self) -> Optional[dict]:
-        """Mergeable digest state, or None before any observation.
-
-        The state is what :meth:`merge_from` (and therefore
-        :meth:`MetricsRegistry.merge`) consumes to fold one process's
-        latency distribution into another's without losing quantiles.
-        """
-        with self._digest_lock:
-            if self._digest is None:
-                return None
-            return self._digest.to_state()
-
-    def merge_from(
-        self,
-        count: int,
-        total: float,
-        digest_state: Optional[dict] = None,
-        max_value: Optional[float] = None,
-        exemplar: Optional[str] = None,
-    ) -> None:
-        """Fold another timer's observations into this one.
-
-        ``count``/``total`` add; when ``digest_state`` (from
-        :meth:`digest_state`) is provided the centroid sketches merge,
-        so quantiles over the union stay truthful. Without it only the
-        count/total/mean are combined. The larger of the two maxima
-        keeps its exemplar, so a merged registry still points at the
-        globally slowest span.
-        """
-        self.count += int(count)
-        self.total += float(total)
-        if max_value is not None and (
-            self.max_value is None or max_value >= self.max_value
-        ):
-            self.max_value = float(max_value)
-            if exemplar is not None:
-                self.exemplar = exemplar
-        if not digest_state:
-            return
-        from repro.measurements.tdigest import TDigest
-
-        incoming = TDigest.from_state(digest_state)
-        with self._digest_lock:
-            if self._digest is None:
-                self._digest = incoming
-            else:
-                self._digest = self._digest.merge(incoming)
 
     @property
     def mean(self) -> Optional[float]:
@@ -300,9 +252,7 @@ class MetricsRegistry:
 
     # -- snapshot / reset ---------------------------------------------------
 
-    def snapshot(
-        self, include_digests: bool = False
-    ) -> Dict[str, Dict[str, object]]:
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
         """JSON-compatible dump of every instrument's current state.
 
         The instrument maps are materialized under the creation lock so
@@ -310,13 +260,6 @@ class MetricsRegistry:
         iterates a mutating dict; individual values are then read
         lock-free (a torn counter read costs at most one tick, the same
         trade the increment path makes).
-
-        ``include_digests=True`` additionally embeds each observed
-        timer's raw t-digest state under a ``"digest"`` key, making the
-        snapshot losslessly mergeable via :meth:`merge` — the form a
-        worker process ships back to its parent. Renderers ignore the
-        extra key, so a digest-bearing snapshot is a strict superset of
-        the plain one.
         """
         with self._lock:
             counter_items = sorted(self._counters.items())
@@ -343,48 +286,8 @@ class MetricsRegistry:
                 # keep their pre-existing shape.
                 if instrument.exemplar is not None:
                     entry["exemplar"] = instrument.exemplar
-                if include_digests:
-                    state = instrument.digest_state()
-                    if state is not None:
-                        entry["digest"] = state
             timers[name] = entry
         return {"counters": counters, "gauges": gauges, "timers": timers}
-
-    def merge(self, snapshot: Dict[str, Dict[str, object]]) -> None:
-        """Fold another registry's snapshot into this one.
-
-        The multi-run / multi-worker aggregation API: a worker process
-        (or a previous run) snapshots its registry and the parent merges
-        it here. Semantics per instrument kind:
-
-        * **counters** add;
-        * **gauges** last-write-wins (the incoming value replaces the
-          local one);
-        * **timers** add count/total and merge their t-digest state
-          when present, so p50/p95/max over the union stay truthful —
-          take the snapshot with ``snapshot(include_digests=True)`` to
-          ship digests. Digest-free snapshots still merge, combining
-          count/total/mean only.
-
-        Merging is associative; counters and timer count/total are
-        exactly commutative, and merged timer quantiles agree to
-        t-digest sketch accuracy regardless of merge order. Instruments
-        absent locally are created, so merging into a fresh registry
-        reproduces the source.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(int(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(float(value))
-        for name, entry in snapshot.get("timers", {}).items():
-            raw_max = entry.get("max_s")
-            self.timer(name).merge_from(
-                int(entry.get("count", 0)),
-                float(entry.get("total_s", 0.0)),
-                entry.get("digest"),
-                max_value=None if raw_max is None else float(raw_max),
-                exemplar=entry.get("exemplar"),
-            )
 
     def reset(self) -> None:
         """Zero every instrument in place.

@@ -12,12 +12,10 @@ draw, one digest insert, and (only when DEBUG logging is on) two log
 records. There is deliberately no sampling machinery — this is stage
 timing for a batch pipeline — but every span does carry a minimal
 trace context (``trace_id`` / ``span_id`` / ``parent_id``): a root
-span starts a new trace, children inherit it from the stack, and a
-worker process can adopt its parent's context via
-:func:`set_remote_parent` so ``run_sharded`` shards nest under the
-fan-out span in trace exports. A span's duration lands in the
-``span.<name>`` timer with the span id as its *exemplar*, so the
-slowest observation points straight back at its trace slice.
+span starts a new trace and children inherit it from the stack. A
+span's duration lands in the ``span.<name>`` timer with the span id as
+its *exemplar*, so the slowest observation points straight back at its
+trace slice.
 
 Usage::
 
@@ -36,7 +34,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .logs import get_logger
 from .registry import counter, timer
@@ -74,35 +72,6 @@ def current_span() -> Optional["Span"]:
     return stack[-1] if stack else None
 
 
-def set_remote_parent(
-    trace_id: Optional[str], span_id: Optional[str]
-) -> None:
-    """Adopt a parent trace context from another process/thread.
-
-    The next *root* span opened on this thread joins ``trace_id`` as a
-    child of ``span_id`` instead of starting a new trace — how a forked
-    ``run_sharded`` worker nests its shard spans under the parent's
-    fan-out span. Pass ``(None, None)`` to clear.
-    """
-    if trace_id is None or span_id is None:
-        _state.remote_parent = None
-    else:
-        _state.remote_parent = (trace_id, span_id)
-
-
-def current_trace_context() -> Optional[Tuple[str, str]]:
-    """The (trace_id, span_id) children would attach to, if any.
-
-    The innermost active span wins; with no span open, an adopted
-    remote parent (see :func:`set_remote_parent`) is returned.
-    """
-    stack = _stack()
-    if stack:
-        active = stack[-1]
-        return (active.trace_id, active.span_id)
-    return getattr(_state, "remote_parent", None)
-
-
 class Span:
     """One timed pipeline stage (use via :func:`span`)."""
 
@@ -126,8 +95,8 @@ class Span:
         #: Wall-clock seconds, populated on exit (None while running).
         self.duration: Optional[float] = None
         #: Trace context, finalized on __enter__: the root span of a
-        #: thread mints a new trace id (or joins a remote parent);
-        #: nested spans inherit the parent's.
+        #: thread mints a new trace id; nested spans inherit the
+        #: parent's.
         self.trace_id = ""
         self.span_id = ""
         self.parent_id: Optional[str] = None
@@ -146,11 +115,7 @@ class Span:
             self.trace_id = parent.trace_id
             self.parent_id = parent.span_id
         else:
-            remote = getattr(_state, "remote_parent", None)
-            if remote is not None:
-                self.trace_id, self.parent_id = remote
-            else:
-                self.trace_id = _new_id()
+            self.trace_id = _new_id()
         self.span_id = _new_id()
         stack.append(self)
         if _logger.isEnabledFor(10):  # logging.DEBUG
@@ -227,7 +192,7 @@ class SpanRecord:
     thread_id: int
     thread_name: str
     fields: Dict[str, object] = field(default_factory=dict)
-    #: Trace context (defaults keep pre-context records loadable).
+    #: Trace context (empty for a span recorded without entering).
     trace_id: str = ""
     span_id: str = ""
     parent_id: Optional[str] = None
@@ -267,54 +232,6 @@ class TraceRecorder:
         )
         with self._lock:
             self._records.append(entry)
-
-    def adopt(
-        self,
-        started_unix: float,
-        records: Iterable[Mapping[str, object]],
-    ) -> int:
-        """Merge span records captured by another process's recorder.
-
-        ``run_sharded`` workers run their shards under a private
-        recorder and ship its records (as dicts) home with the shard
-        result; the parent folds them in here. ``started_unix`` is the
-        *worker* recorder's wall-clock epoch — ``perf_counter`` epochs
-        are per-process, so worker start offsets are re-based onto this
-        recorder's timeline via the wall-clock delta between the two
-        epochs. Returns the number of records adopted.
-        """
-        offset = float(started_unix) - self.started_unix
-        adopted = 0
-        entries: List[SpanRecord] = []
-        for record in records:
-            fields = record.get("fields")
-            entries.append(
-                SpanRecord(
-                    name=str(record.get("name", "")),
-                    path=str(record.get("path", "")),
-                    depth=int(record.get("depth", 0)),  # type: ignore[arg-type]
-                    start_s=max(
-                        0.0,
-                        float(record.get("start_s", 0.0))  # type: ignore[arg-type]
-                        + offset,
-                    ),
-                    duration_s=float(record.get("duration_s", 0.0)),  # type: ignore[arg-type]
-                    thread_id=int(record.get("thread_id", 0)),  # type: ignore[arg-type]
-                    thread_name=str(record.get("thread_name", "")),
-                    fields=dict(fields) if isinstance(fields, dict) else {},
-                    trace_id=str(record.get("trace_id", "")),
-                    span_id=str(record.get("span_id", "")),
-                    parent_id=(
-                        None
-                        if record.get("parent_id") is None
-                        else str(record.get("parent_id"))
-                    ),
-                )
-            )
-            adopted += 1
-        with self._lock:
-            self._records.extend(entries)
-        return adopted
 
     def records(self) -> Tuple[SpanRecord, ...]:
         """Everything recorded so far, in completion order."""

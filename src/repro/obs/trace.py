@@ -15,9 +15,7 @@ Only the stdlib is involved, and only the *document* shape matters:
 * span ``fields``, the slash-joined ``path``/``depth``, and the trace
   context (``trace_id``/``span_id``/``parent_id``) ride in ``args``,
   so clicking a slice in the viewer shows the same context a DEBUG
-  span log line carries — and shard slices adopted from forked
-  workers (see :meth:`~repro.obs.spans.TraceRecorder.adopt`) are
-  correlated to their parent fan-out span by shared trace id.
+  span log line carries.
 """
 
 from __future__ import annotations

@@ -250,6 +250,20 @@ class AdaptiveAllocator:
                 allocation[region] += 1
         return allocation
 
+    def check_budget(self, total_budget: int, rounds: int) -> None:
+        """Raise ValueError unless :meth:`run` can start on these values.
+
+        The budget must cover the pilot round, and there must be at
+        least one round.
+        """
+        pilot_total = self.pilot_per_region * len(self.backend.regions())
+        if total_budget < pilot_total:
+            raise ValueError(
+                f"budget {total_budget} below pilot requirement {pilot_total}"
+            )
+        if rounds < 1:
+            raise ValueError(f"rounds must be >= 1: {rounds}")
+
     def run(
         self,
         total_budget: int,
@@ -262,16 +276,11 @@ class AdaptiveAllocator:
         remaining budget by current CI width.
 
         Raises:
-            ValueError: when the budget cannot cover the pilot round.
+            ValueError: see :meth:`check_budget`.
         """
+        self.check_budget(total_budget, rounds)
         regions = self.backend.regions()
         pilot_total = self.pilot_per_region * len(regions)
-        if total_budget < pilot_total:
-            raise ValueError(
-                f"budget {total_budget} below pilot requirement {pilot_total}"
-            )
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1: {rounds}")
 
         sink = MemorySink()
         sketch: Optional[SketchSink] = None

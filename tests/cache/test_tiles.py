@@ -17,7 +17,8 @@ from repro.cache.tiles import (
 from repro.core.exceptions import DataError, IntegrityError
 from repro.core.scoring import score_regions
 from repro.measurements.record import Measurement
-from repro.measurements.sketchplane import SketchPlane
+from repro.measurements.sketchplane import SketchPlane, sketch_records
+from repro.netsim import CampaignConfig, region_preset, simulate_region
 
 WEEK = 7 * 86400.0
 
@@ -145,6 +146,34 @@ class TestWarmPlane:
                 exact = float(np.percentile(downloads, pct))
                 sketched = view.quantile(Metric.DOWNLOAD, pct)
                 assert sketched == pytest.approx(exact, rel=0.01)
+
+    def test_one_period_campaign_warms_to_the_direct_sketch_scores(
+        self, tmp_path, config
+    ):
+        """``score --from-cache`` equals ``--quantiles sketch`` exactly.
+
+        One period and three sources give three tiles, each cell held
+        by one of them. This campaign holds cells whose digests a
+        state round trip would re-compress into different quantiles,
+        so the merge must copy them as they are.
+        """
+        records = simulate_region(
+            region_preset("mixed-urban"),
+            3,
+            CampaignConfig(subscribers=40, tests_per_client=1500),
+        )
+        cache = LocalCache(tmp_path / "cache")
+        write_tiles(cache, records)
+        assert len(tile_entries(cache, granularity="region")) == 3
+        assert len(cache.manifest().periods()) == 1
+
+        warmed = score_regions(warm_plane(cache), config, quantiles="sketch")
+        direct = score_regions(
+            sketch_records(records), config, quantiles="sketch"
+        )
+        assert {r: b.to_dict() for r, b in warmed.items()} == {
+            r: b.to_dict() for r, b in direct.items()
+        }
 
     def test_period_filter_time_travels(self, tmp_path, records):
         cache = LocalCache(tmp_path / "cache")

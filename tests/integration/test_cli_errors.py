@@ -110,6 +110,43 @@ class TestMalformedInput:
         assert skips == [{"read": 2, "skipped": 1}]
 
 
+#: Flags outside their range, each rejected where the CLI turns it
+#: into an object (or, for ``--window-days``, by name where it is read).
+OUT_OF_RANGE = [
+    "simulate {out} --tests 0",
+    "simulate {out} --subscribers 0",
+    "simulate {out} --days 0",
+    "simulate {out} --wifi-share 1.5",
+    "metrics --subscribers 0",
+    "metrics --failure-rate 2",
+    "adaptive --rounds 0",
+    "adaptive --subscribers 0",
+    "adaptive --budget 0",
+    "adaptive --pilot 1",
+    "monitor {data} --window-days 0",
+    "health {data} --window-days 0",
+    "trend {data} r1 --window-days 0",
+]
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "command",
+        OUT_OF_RANGE,
+        ids=[c.replace("{out} ", "").replace("{data} ", "") for c in OUT_OF_RANGE],
+    )
+    def test_exit_2_one_line_no_traceback(self, command, tmp_path):
+        data = tmp_path / "good.jsonl"
+        data.write_text(GOOD_LINE + "\n")
+        out = tmp_path / "out.jsonl"
+        result = run_cli(*command.format(data=data, out=out).split())
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("iqb: error:")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+
 class TestMetricsCommand:
     def test_snapshot_covers_the_whole_pipeline(self, dirty_file):
         result = run_cli(
@@ -130,11 +167,28 @@ class TestMetricsCommand:
         # from a production-style run).
         assert counters["quantile_cache.columnar.misses"] > 0
         assert counters["quantile_cache.columnar.hits"] > 0
+        assert counters["quantile_cache.columnar.sorts"] > 0
         # Per-backend latency histogram and pipeline spans.
         timers = snapshot["timers"]
         assert timers["probe.latency.SimulatedBackend"]["count"] > 0
         for stage in ("pipeline", "probe", "ingest", "score"):
             assert timers[f"span.{stage}"]["count"] == 1
+
+    def test_prometheus_rendering_carries_scoring_and_ingest_counters(
+        self, dirty_file
+    ):
+        result = run_cli(
+            "metrics", str(dirty_file), "--probes", "5", "--format", "prom"
+        )
+        assert result.returncode == 0
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in result.stdout.splitlines()
+            if not line.startswith("#")
+        )
+        assert int(samples["iqb_quantile_cache_columnar_hits_total"]) > 0
+        assert int(samples["iqb_quantile_cache_columnar_sorts_total"]) > 0
+        assert samples["iqb_ingest_jsonl_lines_total"] == "2"
 
     def test_text_rendering(self):
         result = run_cli("metrics", "--probes", "5", "--text")

@@ -3,6 +3,7 @@ for the exact-vs-sketch accuracy contract)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.metrics import Metric
@@ -13,6 +14,7 @@ from repro.measurements.sketchplane import (
     SketchView,
     sketch_records,
 )
+from repro.measurements.tdigest import TDigest
 from repro.obs import REGISTRY
 
 
@@ -121,6 +123,68 @@ class TestSketchPlane:
         plane.aggregate_cube(("ndt",), (95.0, 95.0, 95.0, 95.0))
         plane.aggregate_cube(("ndt",), (95.0, 95.0, 95.0, 95.0))
         assert REGISTRY.counter("sketch.rescore.hits").value - before == 2
+
+
+PERCENTILES = (0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 100.0)
+
+
+def _tile_plane(records):
+    """A plane as ``warm_plane`` reads it back from a cache tile."""
+    return SketchPlane.from_state(sketch_records(records).to_state())
+
+
+class TestOneSidedMerge:
+    """A cell, or a metric, that only one side holds is copied exactly.
+
+    Whole-millisecond latencies tie often, and re-compressing tied
+    centroids can reorder them, so a ``to_state``/``from_state`` copy
+    of such a digest moves its quantiles.
+    """
+
+    @pytest.fixture()
+    def plane(self):
+        rng = np.random.default_rng(3)
+        latencies = np.round(rng.lognormal(3.0, 0.5, 1500))
+        return _tile_plane(
+            [_record(i, latency_ms=float(v)) for i, v in enumerate(latencies)]
+        )
+
+    @pytest.fixture()
+    def source(self, plane):
+        return plane.view("alpha", "ndt")
+
+    def _assert_copied(self, copied, source, metrics):
+        for metric in metrics:
+            for percentile in PERCENTILES:
+                assert copied.quantile(metric, percentile) == source.quantile(
+                    metric, percentile
+                ), (metric, percentile)
+        copied_state = copied.to_state()["digests"]
+        source_state = source.to_state()["digests"]
+        for metric in metrics:
+            assert copied_state[metric.value] == source_state[metric.value]
+
+    def test_sample_drifts_through_a_state_round_trip(self, source):
+        # Guards the fixture: without an exact copy this sample moves.
+        state = source.to_state()["digests"][Metric.LATENCY.value]
+        digest = TDigest.from_state(state)
+        assert any(
+            digest.quantile(p) != source.quantile(Metric.LATENCY, p)
+            for p in PERCENTILES
+        )
+
+    def test_plane_merge_copies_a_cell_one_side_holds(self, plane, source):
+        other = sketch_records([_record(0, region="beta")])
+        for merged in (plane.merge(other), other.merge(plane)):
+            self._assert_copied(
+                merged.view("alpha", "ndt"), source, Metric.ordered()
+            )
+
+    def test_view_merge_copies_a_metric_one_side_holds(self, source):
+        other = SketchView()
+        other.observe(_record(0, latency_ms=None))
+        for merged in (source.merge(other), other.merge(source)):
+            self._assert_copied(merged, source, [Metric.LATENCY])
 
 
 class TestColumnarAppend:

@@ -123,18 +123,6 @@ class TestTimerExemplars:
         assert "exemplar" not in timers["bare"]
         assert timers["tagged"]["exemplar"] == "abc123"
 
-    def test_merge_keeps_exemplar_of_larger_maximum(self, registry):
-        registry.timer("t").observe(1.0, exemplar="local-slow")
-        source = MetricsRegistry()
-        source.timer("t").observe(9.0, exemplar="worker-slower")
-        registry.merge(source.snapshot(include_digests=True))
-        assert registry.timer("t").exemplar == "worker-slower"
-        # The other direction: a smaller incoming max does not steal it.
-        lesser = MetricsRegistry()
-        lesser.timer("t").observe(0.5, exemplar="worker-fast")
-        registry.merge(lesser.snapshot(include_digests=True))
-        assert registry.timer("t").exemplar == "worker-slower"
-
     def test_reset_clears_exemplar(self, registry):
         t = registry.timer("t")
         t.observe(1.0, exemplar="gone")

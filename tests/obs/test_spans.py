@@ -4,13 +4,7 @@ import re
 
 import pytest
 
-from repro.obs import (
-    REGISTRY,
-    current_span,
-    current_trace_context,
-    set_remote_parent,
-    span,
-)
+from repro.obs import REGISTRY, current_span, span
 
 
 class TestSpan:
@@ -60,10 +54,7 @@ class TestSpan:
 
 
 class TestTraceContext:
-    """trace_id/span_id/parent_id wiring, local and adopted."""
-
-    TRACE = "c0ffee" + "0" * 10
-    PARENT = "50a" + "b" * 13
+    """trace_id/span_id/parent_id wiring along the span stack."""
 
     def test_root_span_mints_a_trace(self):
         with span("root") as root:
@@ -87,58 +78,6 @@ class TestTraceContext:
         with span("second") as second:
             pass
         assert first.trace_id != second.trace_id
-
-    def test_current_trace_context_follows_stack(self):
-        set_remote_parent(None, None)
-        assert current_trace_context() is None
-        with span("a") as a:
-            assert current_trace_context() == (a.trace_id, a.span_id)
-            with span("b") as b:
-                assert current_trace_context() == (b.trace_id, b.span_id)
-            assert current_trace_context() == (a.trace_id, a.span_id)
-        assert current_trace_context() is None
-
-    def test_remote_parent_adopted_by_next_root(self):
-        set_remote_parent(self.TRACE, self.PARENT)
-        try:
-            with span("shard") as shard:
-                assert shard.trace_id == self.TRACE
-                assert shard.parent_id == self.PARENT
-        finally:
-            set_remote_parent(None, None)
-
-    def test_remote_parent_does_not_leak_into_nested_spans(self):
-        set_remote_parent(self.TRACE, self.PARENT)
-        try:
-            with span("shard") as shard:
-                with span("inner") as inner:
-                    assert inner.trace_id == self.TRACE
-                    assert inner.parent_id == shard.span_id
-        finally:
-            set_remote_parent(None, None)
-
-    def test_remote_parent_survives_for_repeated_roots(self):
-        # A worker process runs several shards back to back: each
-        # shard's root span must re-attach to the same fan-out parent.
-        set_remote_parent(self.TRACE, self.PARENT)
-        try:
-            parents = []
-            for _ in range(2):
-                with span("shard") as shard:
-                    parents.append(shard.parent_id)
-            assert parents == [self.PARENT, self.PARENT]
-        finally:
-            set_remote_parent(None, None)
-
-    def test_clearing_remote_parent_restores_fresh_traces(self):
-        set_remote_parent(self.TRACE, self.PARENT)
-        assert current_trace_context() == (self.TRACE, self.PARENT)
-        set_remote_parent(None, None)
-        assert current_trace_context() is None
-        with span("fresh") as fresh:
-            pass
-        assert fresh.trace_id != self.TRACE
-        assert fresh.parent_id is None
 
 
 class TestStackRepair:

@@ -72,60 +72,6 @@ class TestTraceRecorder:
         assert len(recorder) == 200
 
 
-def _shipped(**overrides):
-    """One worker-side span record dict, as adopt() receives them."""
-    record = {
-        "name": "shard",
-        "path": "shard",
-        "depth": 0,
-        "start_s": 1.0,
-        "duration_s": 0.5,
-        "thread_id": 42,
-        "thread_name": "MainThread",
-        "fields": {"shard": 0},
-        "trace_id": "t" * 16,
-        "span_id": "s" * 16,
-        "parent_id": "p" * 16,
-    }
-    record.update(overrides)
-    return record
-
-
-class TestAdopt:
-    def test_adopt_rebases_onto_parent_timeline(self, recorder):
-        # The worker recorder's epoch started 10s after ours, so a span
-        # 1s into the worker's run is 11s into the merged timeline.
-        count = recorder.adopt(
-            recorder.started_unix + 10.0, [_shipped()]
-        )
-        assert count == 1
-        record = recorder.records()[-1]
-        assert record.start_s == pytest.approx(11.0)
-        assert record.duration_s == 0.5
-        assert record.trace_id == "t" * 16
-        assert record.span_id == "s" * 16
-        assert record.parent_id == "p" * 16
-        assert record.fields == {"shard": 0}
-
-    def test_adopt_clamps_pre_epoch_starts_to_zero(self, recorder):
-        recorder.adopt(
-            recorder.started_unix - 5.0, [_shipped(start_s=1.0)]
-        )
-        assert recorder.records()[-1].start_s == 0.0
-
-    def test_adopt_tolerates_minimal_records(self, recorder):
-        # Records from an older worker (no trace context, no fields)
-        # must still merge — defaults keep them loadable.
-        recorder.adopt(
-            recorder.started_unix,
-            [{"name": "old", "duration_s": 0.1}],
-        )
-        record = recorder.records()[-1]
-        assert record.trace_id == ""
-        assert record.parent_id is None
-        assert record.fields == {}
-
-
 class TestChromeTrace:
     def test_document_shape(self, recorder):
         with span("stage", regions=3):
@@ -204,10 +150,10 @@ class TestChromeTrace:
     def test_contextless_records_export_without_trace_args(
         self, recorder
     ):
-        recorder.adopt(
-            recorder.started_unix,
-            [{"name": "old", "duration_s": 0.1}],
-        )
+        # A span recorded without entering carries no trace context.
+        bare = span("old")
+        bare.duration = 0.1
+        recorder.record(bare)
         event = next(
             event
             for event in to_chrome_trace(recorder)["traceEvents"]
