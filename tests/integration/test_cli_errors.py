@@ -174,22 +174,6 @@ class TestMetricsCommand:
         for stage in ("pipeline", "probe", "ingest", "score"):
             assert timers[f"span.{stage}"]["count"] == 1
 
-    def test_prometheus_rendering_carries_scoring_and_ingest_counters(
-        self, dirty_file
-    ):
-        result = run_cli(
-            "metrics", str(dirty_file), "--probes", "5", "--format", "prom"
-        )
-        assert result.returncode == 0
-        samples = dict(
-            line.rsplit(" ", 1)
-            for line in result.stdout.splitlines()
-            if not line.startswith("#")
-        )
-        assert int(samples["iqb_quantile_cache_columnar_hits_total"]) > 0
-        assert int(samples["iqb_quantile_cache_columnar_sorts_total"]) > 0
-        assert samples["iqb_ingest_jsonl_lines_total"] == "2"
-
     def test_text_rendering(self):
         result = run_cli("metrics", "--probes", "5", "--text")
         assert result.returncode == 0

@@ -50,18 +50,27 @@ def campaign_file(tmp_path_factory):
 
 
 class TestMetricsPromFormat:
-    def test_output_is_valid_prometheus_exposition(self, capsys):
-        assert main(["metrics", "--probes", "5", "--format", "prom"]) == 0
+    def test_output_is_valid_prometheus_exposition(
+        self, campaign_file, capsys
+    ):
+        argv = ["metrics", str(campaign_file), "--probes", "5"]
+        assert main(argv + ["--format", "prom"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines, "prom exposition must not be empty"
         for line in lines:
             assert _PROM_LINE.match(line), f"invalid line: {line!r}"
-        # The instrumented pipeline's own counters made it through.
-        assert any(
-            line.startswith("iqb_probe_runner_scheduled_total ")
-            for line in lines
+        # The instrumented pipeline's own counters made it through:
+        # probing, ingest of the input file, and the scoring pass.
+        samples = dict(
+            line.rsplit(" ", 1) for line in lines if not line.startswith("#")
         )
+        assert int(samples["iqb_probe_runner_scheduled_total"]) > 0
+        assert int(samples["iqb_ingest_jsonl_lines_total"]) == sum(
+            1 for _ in open(campaign_file)
+        )
+        assert int(samples["iqb_quantile_cache_columnar_hits_total"]) > 0
+        assert int(samples["iqb_quantile_cache_columnar_sorts_total"]) > 0
 
     def test_text_flag_still_works_as_alias(self, capsys):
         assert main(["metrics", "--probes", "5", "--text"]) == 0
