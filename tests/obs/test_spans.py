@@ -79,6 +79,20 @@ class TestTraceContext:
             pass
         assert first.trace_id != second.trace_id
 
+    def test_current_trace_context_follows_stack(self):
+        # A new span takes its context from the innermost open span:
+        # closing a child hands it back to the parent, and closing the
+        # root leaves none, so the next span starts a trace of its own.
+        with span("a") as a:
+            with span("b") as b:
+                with span("c") as c:
+                    assert (c.trace_id, c.parent_id) == (a.trace_id, b.span_id)
+            with span("d") as d:
+                assert (d.trace_id, d.parent_id) == (a.trace_id, a.span_id)
+        with span("e") as e:
+            assert e.parent_id is None
+            assert e.trace_id != a.trace_id
+
 
 class TestStackRepair:
     """Out-of-order exits must not corrupt later spans on the thread."""
