@@ -18,6 +18,11 @@ tensor operations over every region at once:
   piecewise ramp for CONTINUOUS, and the three weighted-average tiers
   (Eq. 1 → Eq. 2-3 → Eq. 4) with missing cells masked out of each
   normalization (degraded-mode renormalization).
+* :class:`ScoredCube` — that one tensor pass, kept: it yields the
+  composite scores and rebuilds the breakdown trees of any subset of
+  rows. :func:`score_cube` (every tree), :func:`score_cube_values`
+  (no tree) and ``iqb serve`` (one tree per region read) all go
+  through it.
 
 Every input reaches the kernel as a cube: ``ColumnarStore`` and
 ``SketchPlane`` build theirs (:func:`score_store`), and opaque
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -77,11 +82,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CompiledConfig",
+    "ScoredCube",
     "compile_config",
     "score_cube",
     "score_cube_values",
     "score_store",
     "score_values",
+    "scored_store",
     "source_cube",
 ]
 
@@ -272,6 +279,87 @@ def _verdict_scores(
         return np.where(higher, value_h, value_l)
 
 
+class ScoredCube:
+    """One batched Eq. 1 → Eq. 4 tensor pass over an aggregate cube.
+
+    The composite scores come straight off the pass (:meth:`values`);
+    the ``ScoreBreakdown`` trees are rebuilt from the kept cube and
+    tensors for the rows asked for, and only for them
+    (:meth:`breakdowns`). :func:`score_cube` rebuilds every row,
+    :func:`score_cube_values` none, and the serving layer keeps one
+    pass per plane generation and rebuilds a region's row when that
+    region is read. The cube arrays must not be mutated afterwards.
+
+    Raises:
+        DataError: on construction, exactly where and with exactly the
+            message the scalar oracle raises (see :func:`score_cube`).
+    """
+
+    __slots__ = ("regions", "quantile_source", "_cc", "_cube", "_tensors")
+
+    def __init__(
+        self,
+        regions: Tuple[str, ...],
+        aggregates: np.ndarray,
+        counts: np.ndarray,
+        config: IQBConfig,
+        quantile_source: str = "exact",
+    ) -> None:
+        self._cc, self._tensors = _score_tensors(
+            regions, aggregates, counts, config
+        )
+        self.regions = regions
+        self.quantile_source = quantile_source
+        self._cube = (aggregates, counts)
+
+    def values(self) -> Dict[str, float]:
+        """Composite S_IQB per region, in cube row order."""
+        return dict(zip(self.regions, self._tensors[4].tolist()))
+
+    def breakdowns(
+        self, regions: Optional[Iterable[str]] = None
+    ) -> Dict[str, ScoreBreakdown]:
+        """The breakdown trees of ``regions`` (default: every row).
+
+        Raises:
+            KeyError: for a region with no row in the cube, before any
+                tree is rebuilt.
+        """
+        if regions is None:
+            names, rows = tuple(self.regions), slice(None)
+        else:
+            names = tuple(regions)
+            rows = [self._row(region) for region in names]
+        aggregates, counts = self._cube
+        verdict, observed, s_ur, s_u, s_iqb, observed_dataset = (
+            tensor[rows] for tensor in self._tensors
+        )
+        cc = self._cc
+        with span("rebuild_breakdowns"):
+            # (G, D, R) → (G, R, D) so the reconstruction loop's innermost
+            # dataset scan indexes one flat row instead of striding.
+            return _rebuild(
+                names,
+                cc,
+                aggregates[rows].transpose(0, 2, 1).tolist(),
+                counts[rows].transpose(0, 2, 1).tolist(),
+                verdict.tolist(),
+                observed.tolist(),
+                s_ur.tolist(),
+                s_u.tolist(),
+                s_iqb.tolist(),
+                observed_dataset.tolist(),
+                cc.missing_data is MissingDataPolicy.FAIL,
+                self.quantile_source,
+            )
+
+    def _row(self, region: str) -> int:
+        try:
+            return self.regions.index(region)
+        except ValueError:
+            raise KeyError(region) from None
+
+
 def score_cube(
     regions: Tuple[str, ...],
     aggregates: np.ndarray,
@@ -299,26 +387,9 @@ def score_cube(
             scalar oracle raises — empty batches, STRICT missing data,
             use cases with no data or only zero-weight requirements.
     """
-    cc, tensors = _score_tensors(regions, aggregates, counts, config)
-    verdict, observed, s_ur, s_u, s_iqb, observed_dataset = tensors
-
-    with span("rebuild_breakdowns"):
-        # (G, D, R) → (G, R, D) so the reconstruction loop's innermost
-        # dataset scan indexes one flat row instead of striding.
-        return _rebuild(
-            regions,
-            cc,
-            aggregates.transpose(0, 2, 1).tolist(),
-            counts.transpose(0, 2, 1).tolist(),
-            verdict.tolist(),
-            observed.tolist(),
-            s_ur.tolist(),
-            s_u.tolist(),
-            s_iqb.tolist(),
-            observed_dataset.tolist(),
-            cc.missing_data is MissingDataPolicy.FAIL,
-            quantile_source,
-        )
+    return ScoredCube(
+        regions, aggregates, counts, config, quantile_source
+    ).breakdowns()
 
 
 def score_cube_values(
@@ -337,8 +408,7 @@ def score_cube_values(
     so consumers that only need scores (dashboards, sweeps, rollup
     monitors) should take this path.
     """
-    _, tensors = _score_tensors(regions, aggregates, counts, config)
-    return dict(zip(regions, tensors[4].tolist()))
+    return ScoredCube(regions, aggregates, counts, config).values()
 
 
 def _score_tensors(
@@ -347,7 +417,7 @@ def _score_tensors(
     counts: np.ndarray,
     config: IQBConfig,
 ) -> Tuple[CompiledConfig, Tuple[np.ndarray, ...]]:
-    """The batched Eq. 1 → Eq. 4 tensor pass shared by both outputs."""
+    """The batched Eq. 1 → Eq. 4 tensor pass behind :class:`ScoredCube`."""
     if not len(regions):
         raise DataError("score_regions needs at least one region of data")
     cc = config.compiled()
@@ -692,6 +762,21 @@ def _resolve_cube(
     return cube, "mixed"
 
 
+def _store_cube(
+    store: "object",
+    cc: CompiledConfig,
+    modes: Optional[Tuple[QuantileMode, ...]],
+) -> Tuple["object", str]:
+    """:func:`_resolve_cube` under the ``aggregate_cube`` span."""
+    with span("aggregate_cube"):
+        cube, source = _resolve_cube(store, cc, modes)
+    # Each of the |U| use cases reads every computed cube cell; the
+    # first read computed it (a miss, counted by aggregate_cube), the
+    # rest are served by the shared cube.
+    _CUBE_FANOUT_HITS.inc((len(cc.use_cases) - 1) * cube.cells)
+    return cube, source
+
+
 def score_store(
     store: "object",
     config: IQBConfig,
@@ -708,13 +793,7 @@ def score_store(
     the quantile plane per configured dataset (see
     :func:`_resolve_cube`); None scores the store's native plane.
     """
-    cc = config.compiled()
-    with span("aggregate_cube"):
-        cube, source = _resolve_cube(store, cc, modes)
-    # Each of the |U| use cases reads every computed cube cell; the
-    # first read computed it (a miss, counted by aggregate_cube), the
-    # rest are served by the shared cube.
-    _CUBE_FANOUT_HITS.inc((len(cc.use_cases) - 1) * cube.cells)
+    cube, source = _store_cube(store, config.compiled(), modes)
     if stage is not None:
         stage.annotate(regions=len(cube.regions), quantiles=source)
     with span("score_cube"):
@@ -724,6 +803,25 @@ def score_store(
             cube.counts,
             config,
             quantile_source=source,
+        )
+
+
+def scored_store(
+    store: "object",
+    config: IQBConfig,
+    modes: Optional[Tuple[QuantileMode, ...]] = None,
+) -> ScoredCube:
+    """The scores-only pass over a store, kept for later row rebuilds.
+
+    Same cube, same tensor pass and same errors as :func:`score_store`
+    (``modes`` as there), but no tree is rebuilt until
+    :meth:`ScoredCube.breakdowns` is asked for one; each tree it
+    rebuilds equals the one :func:`score_store` gives, bit for bit.
+    """
+    cube, source = _store_cube(store, config.compiled(), modes)
+    with span("score_cube_values"):
+        return ScoredCube(
+            cube.regions, cube.aggregates, cube.counts, config, source
         )
 
 
@@ -740,11 +838,4 @@ def score_values(
     :func:`score_cube_values`. Accepts a sketch plane directly, which
     is the streaming monitor's re-score hot path.
     """
-    cc = config.compiled()
-    with span("aggregate_cube"):
-        cube, _ = _resolve_cube(store, cc, modes)
-    _CUBE_FANOUT_HITS.inc((len(cc.use_cases) - 1) * cube.cells)
-    with span("score_cube_values"):
-        return score_cube_values(
-            cube.regions, cube.aggregates, cube.counts, config
-        )
+    return scored_store(store, config, modes).values()

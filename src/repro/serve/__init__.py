@@ -7,7 +7,7 @@ long-lived scoring service over a live measurement plane:
 * :mod:`.cache`   — the generation-keyed LRU score cache and the
   single-flight coalescer (N concurrent identical misses → 1 sweep);
 * :mod:`.service` — :class:`ScoringService`: cached/coalesced
-  ``scores`` / ``breakdowns`` / ``national`` query shapes over one
+  ``scores`` / ``breakdown`` / ``national`` query shapes over one
   ColumnarStore or SketchPlane, invalidated by ingest via the plane's
   generation stamp;
 * :mod:`.http`    — :class:`ServeServer`: the ``/v1`` endpoints with
@@ -22,15 +22,9 @@ from __future__ import annotations
 
 from .cache import ScoreCache, SingleFlight
 from .http import REGION_ROUTE, ServeServer
-from .service import (
-    BreakdownsResult,
-    NationalResult,
-    ScoresResult,
-    ScoringService,
-)
+from .service import NationalResult, ScoresResult, ScoringService
 
 __all__ = [
-    "BreakdownsResult",
     "NationalResult",
     "REGION_ROUTE",
     "ScoreCache",

@@ -44,9 +44,10 @@ class ScoreCache:
 
     Values must be treated as immutable by callers (they are handed
     out to concurrent readers). ``maxsize`` bounds the *count* of
-    retained results — breakdown trees for a few hundred regions run
-    to megabytes, so the bound is what keeps a long-lived server from
-    accreting one result set per ingest batch forever.
+    retained results — a scores pass keeps its cube and tensors, a
+    few hundred KB at a few hundred regions, so the bound is what
+    keeps a long-lived server from accreting one result set per
+    ingest batch forever.
     """
 
     def __init__(self, maxsize: int = 64) -> None:

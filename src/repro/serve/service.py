@@ -6,14 +6,14 @@ one measurement plane (a
 :class:`~repro.measurements.sketchplane.SketchPlane`), one scoring
 config, and answers the query shapes the HTTP layer exposes:
 
-* :meth:`scores`     — every region's composite ``S_IQB`` (the
-  ``score_values`` scores-only fast path);
-* :meth:`breakdowns` / :meth:`breakdown` — full per-region
-  :class:`~repro.core.scoring.ScoreBreakdown` trees, bit-identical to
-  ``iqb score --json`` on the same plane state (both run
-  :func:`~repro.core.scoring.score_regions`);
-* :meth:`national`   — the population-weighted rollup;
-* :meth:`ingest`     — append measurements, which is what invalidates.
+* :meth:`scores`    — every region's composite ``S_IQB`` off one
+  scores-only tensor pass (:func:`~repro.core.kernel.scored_store`);
+* :meth:`breakdown` — one region's
+  :class:`~repro.core.scoring.ScoreBreakdown` tree, rebuilt from that
+  region's row of the same pass and bit-identical to its tree in
+  ``iqb score --json`` on the same plane state;
+* :meth:`national`  — the population-weighted rollup;
+* :meth:`ingest`    — append measurements, which is what invalidates.
 
 Consistency model
 -----------------
@@ -27,12 +27,14 @@ Cache hits take no lock at all — the steady-state read path is a dict
 lookup.
 
 A burst of concurrent misses for the same (shape, digest, generation)
-key single-flights onto one kernel sweep; per-region breakdown
-requests share one ``score_regions`` sweep through the breakdown
-cache, so N regions × M clients still cost one compute per
-generation. An optional batch window makes the leader linger before
-sweeping so stragglers of the same burst coalesce instead of missing
-the flight.
+key single-flights onto one kernel sweep. That scores pass is the only
+sweep a generation runs: it keeps its cube and tensors, and a
+per-region read rebuilds that one region's tree from them, so N
+regions × M clients cost one tensor pass plus N one-row rebuilds per
+generation (the HTTP layer keeps each rendered region, so a repeat
+read rebuilds nothing). An optional batch window makes the leader
+linger before sweeping so stragglers of the same burst coalesce
+instead of missing the flight.
 """
 
 from __future__ import annotations
@@ -45,12 +47,11 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.analysis.national import NationalScore, national_score
 from repro.core.config import IQBConfig, QuantileMode
-from repro.core.kernel import score_values
+from repro.core.kernel import ScoredCube, scored_store
 from repro.core.scoring import (
     QUANTILE_SOURCES,
     ScoreBreakdown,
     effective_modes,
-    score_regions,
 )
 from repro.measurements.columnar import ColumnBatch
 from repro.obs.manifest import config_digest
@@ -63,19 +64,16 @@ _SWEEPS = counter("serve.compute.sweeps")
 
 @dataclass(frozen=True)
 class ScoresResult:
-    """One generation's composite scores (the /v1/scores payload)."""
+    """One generation's scores pass (the /v1/scores payload).
+
+    ``scored`` is the pass itself, kept so that a region's breakdown
+    tree can be rebuilt from its row when the region is read.
+    """
 
     generation: int
     values: Mapping[str, float]
     quantile_source: str
-
-
-@dataclass(frozen=True)
-class BreakdownsResult:
-    """One generation's full breakdown trees."""
-
-    generation: int
-    regions: Mapping[str, ScoreBreakdown]
+    scored: ScoredCube
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,9 @@ class ScoringService:
             ``None`` weighs every scored region equally.
         quantiles: global quantile-plane override (``"exact"`` /
             ``"sketch"`` / ``None`` = follow the config policy).
-        cache_size: LRU bound on retained results (each entry is a
-            whole sweep's output; breakdown trees dominate memory).
+        cache_size: LRU bound on retained results (each entry is one
+            generation's scores pass — its values, cube and tensors —
+            or its national rollup).
         batch_window_s: how long a cache-miss leader waits before
             sweeping, so a request burst lands on one compute. 0
             (default) sweeps immediately.
@@ -238,38 +237,31 @@ class ScoringService:
 
         def compute(generation: int) -> ScoresResult:
             _SWEEPS.inc()
-            values = score_values(self._store, self._config, modes=self._modes)
+            scored = scored_store(self._store, self._config, modes=self._modes)
             return ScoresResult(
                 generation=generation,
-                values=values,
+                values=scored.values(),
                 quantile_source=self._source,
+                scored=scored,
             )
 
         return self._sweep("values", compute)
 
-    def breakdowns(self) -> BreakdownsResult:
-        """Full breakdown trees, bit-identical to ``iqb score --json``."""
-
-        def compute(generation: int) -> BreakdownsResult:
-            _SWEEPS.inc()
-            scored = score_regions(
-                self._store, self._config, quantiles=self._quantiles
-            )
-            return BreakdownsResult(generation=generation, regions=scored)
-
-        return self._sweep("breakdowns", compute)
-
     def breakdown(self, region: str) -> Tuple[int, ScoreBreakdown]:
-        """One region's breakdown off the shared per-generation sweep.
+        """One region's breakdown tree at the current generation.
 
-        A burst of per-region requests is answered by a single
-        ``score_regions`` sweep — this is the batch-window payoff.
+        Rebuilt from the region's row of the :meth:`scores` pass, so it
+        is bit-identical to that region's tree in ``iqb score --json``
+        on the same plane state, and it costs one row's rebuild, not a
+        sweep.
 
         Raises:
-            KeyError: when the region is not in the plane.
+            KeyError: when the region is not in the plane (no tree is
+                rebuilt).
+            DataError: when the scores pass raises one.
         """
-        result = self.breakdowns()
-        return result.generation, result.regions[region]
+        result = self.scores()
+        return result.generation, result.scored.breakdowns((region,))[region]
 
     def national(self) -> NationalResult:
         """The population-weighted rollup at the current generation.

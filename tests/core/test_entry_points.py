@@ -14,8 +14,14 @@ quantile policy — and runs each entry point on it:
   ColumnarStore views, sketch views, published aggregate tables and
   plain ``SequenceSource`` sequences;
 * ``score_values`` on a store (the scores-only path);
-* ``ScoringService.breakdowns()`` and ``.scores()``;
+* ``ScoringService.breakdown(region)`` for every region, and
+  ``.scores()``;
 * ``iqb score FILE --json``.
+
+The ``serve --follow`` entry point is held to a cold store instead: a
+service fed the same records as two or more ``ColumnBatch`` ingests
+must give every region's tree and value that a ``ColumnarStore`` built
+from all of them at once gives.
 
 Each result must equal the scalar walk in :mod:`tests.core.scalar_oracle`
 bit for bit — the ``ScoreBreakdown`` trees compare equal and serialize
@@ -32,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.cli import main
 from repro.core.aggregation import (
@@ -60,7 +66,7 @@ from repro.core.weights import (
     UseCaseWeights,
 )
 from repro.measurements.aggregates import aggregate_measurements
-from repro.measurements.columnar import ColumnarStore
+from repro.measurements.columnar import ColumnarStore, ColumnBatch
 from repro.measurements.io import write_jsonl
 from repro.serve.service import ScoringService
 
@@ -212,7 +218,9 @@ class TestBatchEntryPoints:
         _assert_matches(lambda: score_regions(store, config), expected, error)
 
         service = ScoringService(store, config)
-        _assert_matches(lambda: dict(service.breakdowns().regions), expected, error)
+        _assert_matches(
+            lambda: _service_breakdowns(service, records), expected, error
+        )
         _assert_values_match(lambda: dict(service.scores().values), expected, error)
 
         # A store with no mode override scores its native exact plane.
@@ -248,6 +256,47 @@ class TestBatchEntryPoints:
                     expected,
                     error,
                 )
+
+
+def _service_breakdowns(service, records):
+    """Every region's tree as ``ScoringService.breakdown`` answers it."""
+    return {
+        region: service.breakdown(region)[1]
+        for region in sorted(records.regions())
+    }
+
+
+class TestFollowEntryPoint:
+    @settings(max_examples=40, **SETTINGS)
+    @given(records=batches(), config=configs(), data=st.data())
+    def test_appended_batches_match_a_cold_store(self, records, config, data):
+        rows = list(records)
+        assume(len(rows) >= 2)
+        cuts = sorted(
+            data.draw(
+                st.sets(
+                    st.integers(min_value=1, max_value=len(rows) - 1),
+                    min_size=1,
+                    max_size=3,
+                )
+            )
+        )
+        service = ScoringService(ColumnarStore([]), config)
+        for start, stop in zip([0] + cuts, cuts + [len(rows)]):
+            batch = ColumnBatch.from_records(rows[start:stop])
+            assert service.ingest(batch) == stop - start
+            # serve --follow reads between appends; a generation whose
+            # records leave a use case unscored answers an error.
+            with contextlib.suppress(DataError):
+                service.scores()
+        assert service.generation == len(cuts) + 1
+
+        cold = ColumnarStore(rows)
+        expected, error = _oracle(lambda: score_regions(cold, config))
+        _assert_matches(
+            lambda: _service_breakdowns(service, records), expected, error
+        )
+        _assert_values_match(lambda: dict(service.scores().values), expected, error)
 
 
 class TestCliEntryPoint:

@@ -82,8 +82,10 @@ def test_follow_batch_builds_no_records(campaign_file, built):
     batch = decode_jsonl(lines, campaign_file, first_line=1)
     assert service.ingest(batch) == 50
     assert service.generation == generation + 1
-    assert service.scores().values
-    assert service.breakdowns().regions
+    values = service.scores().values
+    assert values
+    for region in values:
+        assert service.breakdown(region)[1].value == values[region]
     assert built[0] == 0
 
 

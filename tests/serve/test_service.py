@@ -87,14 +87,13 @@ class TestInvalidation:
 class TestBreakdowns:
     def test_bit_identical_to_score_regions(self, store, config, records):
         service = ScoringService(store, config)
-        result = service.breakdowns()
         expected = score_regions(ColumnarStore(list(records)), config)
-        assert set(result.regions) == set(expected)
+        assert set(service.scores().values) == set(expected)
         for region in expected:
-            assert (
-                result.regions[region].to_dict()
-                == expected[region].to_dict()
-            )
+            generation, breakdown = service.breakdown(region)
+            assert generation == 0
+            assert breakdown == expected[region]
+            assert breakdown.to_dict() == expected[region].to_dict()
 
     def test_single_region_rides_the_shared_sweep(self, store, config):
         service = ScoringService(store, config)
