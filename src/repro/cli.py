@@ -160,11 +160,16 @@ def _check_cache_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _flag_error(flag: str, requirement: str, value: object) -> str:
+    """The one-line message naming a flag outside its range."""
+    return f"{flag} must be {requirement}: {value}"
+
+
 def _check_window_days(args: argparse.Namespace) -> Optional[str]:
     """Reject a non-positive ``--window-days`` by the flag's name."""
     if args.window_days > 0:
         return None
-    return f"--window-days must be positive: {args.window_days}"
+    return _flag_error("--window-days", "positive", args.window_days)
 
 
 def _start_telemetry(args: argparse.Namespace) -> Optional[TelemetryServer]:
@@ -299,6 +304,11 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    for percentile in args.percentiles:
+        if not 0.0 <= percentile <= 100.0:
+            message = _flag_error("--percentiles", "in [0, 100]", percentile)
+            print(f"iqb: error: {message}", file=sys.stderr)
+            return 2
     records = _read_measurements(args)
     config = _load_config(args.config)
     sources = records.for_region(args.region).group_by_source()
@@ -518,6 +528,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.resilience import window_key
 
     problem = _check_window_days(args)
+    if problem is None and args.trailing < 1:
+        problem = _flag_error("--trailing", ">= 1", args.trailing)
     if problem is not None:
         print(f"iqb: error: {problem}", file=sys.stderr)
         return 2
@@ -749,6 +761,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     problem = _check_cache_args(args)
     if problem is None and args.from_cache is not None and args.follow > 0:
         problem = "--follow tails a measurement file; it cannot run --from-cache"
+    if problem is None and not 0 <= args.port <= 65535:
+        problem = _flag_error("--port", "in [0, 65535]", args.port)
+    if problem is None and args.cache_size < 1:
+        problem = _flag_error("--cache-size", ">= 1", args.cache_size)
     if problem is not None:
         print(f"iqb: error: {problem}", file=sys.stderr)
         return 2
@@ -1089,6 +1105,10 @@ def _cmd_cache_build(args: argparse.Namespace) -> int:
 
     from repro.cache import LocalCache, write_tiles
 
+    if not args.period_days > 0:
+        message = _flag_error("--period-days", "positive", args.period_days)
+        print(f"iqb: error: {message}", file=sys.stderr)
+        return 2
     records = _read_measurements(args)
     cache = LocalCache(args.cache)
     granularities = tuple(args.granularity or ("region",))
@@ -1592,7 +1612,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="score-cache LRU bound (results retained across "
-        "generations; each entry is one full sweep's output)",
+        "generations; each entry is one generation's scores pass or "
+        "national rollup)",
     )
     serve.add_argument(
         "--batch-window",

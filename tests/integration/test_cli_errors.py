@@ -111,7 +111,7 @@ class TestMalformedInput:
 
 
 #: Flags outside their range, each rejected where the CLI turns it
-#: into an object (or, for ``--window-days``, by name where it is read).
+#: into an object or, by name, where its command starts.
 OUT_OF_RANGE = [
     "simulate {out} --tests 0",
     "simulate {out} --subscribers 0",
@@ -126,6 +126,11 @@ OUT_OF_RANGE = [
     "monitor {data} --window-days 0",
     "health {data} --window-days 0",
     "trend {data} r1 --window-days 0",
+    "sweep {data} r1 --percentiles 150",
+    "monitor {data} --trailing 0",
+    "serve {data} --cache-size 0",
+    "serve {data} --port 70000",
+    "cache build {data} --cache {out} --period-days 0",
 ]
 
 
