@@ -1,17 +1,17 @@
-"""Serving-layer benchmarks: the cache, the coalescer, and the wire.
+"""Serving-layer benchmarks: the held scores pass and the wire.
 
-``iqb serve``'s perf contract is that the steady state costs a dict
-lookup, not a kernel sweep: results are cached under
-(query shape, config digest, plane generation) and only an ingest —
-which bumps the generation — forces a recompute. Three
+``iqb serve``'s perf contract is that the steady state costs a
+generation compare, not a kernel sweep: the service holds the current
+generation's scores pass, and only an ingest — which bumps the
+generation — forces a recompute. Three
 pytest-benchmark entries (tracked by ``compare_bench`` against
 ``BENCH_baseline.json``) at a 256-region plane:
 
 * ``test_bench_serve_cold_sweep`` — the invalidated path: one ingested
-  record retires the cache, so the read pays a full scores-only
+  record retires the held pass, so the read pays a full scores-only
   kernel sweep.
 * ``test_bench_serve_warm_read`` — the steady state: the same query
-  against an unchanged plane (cache hit, no plane lock).
+  against an unchanged plane (the held pass, no plane lock).
 * ``test_bench_serve_closed_loop`` — a closed-loop HTTP load
   generator: 4 client threads × 24 GETs against a live
   :class:`ServeServer` while an ingester bumps the generation
@@ -21,8 +21,8 @@ pytest-benchmark entries (tracked by ``compare_bench`` against
 ``TestServeGates`` holds the acceptance bars:
 
 * warm-cache read ≥ 20x the cold recompute at 256 regions;
-* single-flight collapses 8 concurrent identical misses into one
-  kernel sweep;
+* 8 concurrent identical misses share one kernel sweep (the
+  ones that arrive during it wait on the plane lock);
 * every closed-loop response parses, carries all 256 regions, and the
   p99 request latency stays within budget.
 """
@@ -217,9 +217,7 @@ class TestServeGates:
         self, plane_records, serve_config
     ):
         service = ScoringService(
-            ColumnarStore(list(plane_records)),
-            serve_config,
-            batch_window_s=0.05,
+            ColumnarStore(list(plane_records)), serve_config
         )
         sweeps = REGISTRY.counter("serve.compute.sweeps")
         before = sweeps.value
@@ -239,8 +237,8 @@ class TestServeGates:
         assert len(results) == 8
         assert sweeps.value == before + 1, (
             f"8 concurrent identical misses ran "
-            f"{sweeps.value - before} kernel sweeps; single-flight "
-            f"should collapse them into 1"
+            f"{sweeps.value - before} kernel sweeps; misses waiting "
+            f"on the sweep in progress should share it"
         )
         assert all(r is results[0] for r in results)
 

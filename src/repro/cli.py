@@ -28,8 +28,8 @@ Subcommands:
   prints per-window health; exits 1 when any SLO is at PAGE;
 * ``serve``    — long-lived scoring service: the ``/v1`` query API
   (``/v1/scores``, ``/v1/scores/<region>``, ``/v1/national``,
-  ``/v1/config``) over a generation-cached, request-coalescing
-  scoring engine, plus the full telemetry surface; ``--follow``
+  ``/v1/config``) over a scoring engine that runs one scores pass per
+  plane generation, plus the full telemetry surface; ``--follow``
   tails the input file and ingests appended measurements live;
   SIGTERM/Ctrl-C drains in-flight requests and exits 0;
 * ``adaptive`` — demonstrate uncertainty-driven probe allocation;
@@ -749,6 +749,7 @@ def _follow_jsonl(path, service, stop, interval, on_error) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve the /v1 scoring API until SIGTERM/SIGINT, then drain."""
     import json as json_module
+    import math
     import signal
     import threading
     import time as time_module
@@ -763,8 +764,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         problem = "--follow tails a measurement file; it cannot run --from-cache"
     if problem is None and not 0 <= args.port <= 65535:
         problem = _flag_error("--port", "in [0, 65535]", args.port)
-    if problem is None and args.cache_size < 1:
-        problem = _flag_error("--cache-size", ">= 1", args.cache_size)
+    for flag, seconds in (
+        ("--follow", args.follow),
+        ("--drain-timeout", args.drain_timeout),
+    ):
+        if problem is None and not (math.isfinite(seconds) and seconds >= 0):
+            problem = _flag_error(flag, "finite and >= 0", seconds)
     if problem is not None:
         print(f"iqb: error: {problem}", file=sys.stderr)
         return 2
@@ -807,12 +812,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         health = HealthMonitor(rules=rules, clock=time_module.time)
         install_health_monitor(health)
     service = ScoringService(
-        store,
-        config,
-        populations=populations,
-        quantiles=args.quantiles,
-        cache_size=args.cache_size,
-        batch_window_s=args.batch_window,
+        store, config, populations=populations, quantiles=args.quantiles
     )
     server = ServeServer(
         service,
@@ -1607,31 +1607,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: every region weighs the same)",
     )
     serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="score-cache LRU bound (results retained across "
-        "generations; each entry is one generation's scores pass or "
-        "national rollup)",
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="how long a cache-miss leader waits before sweeping so a "
-        "request burst coalesces onto one compute (default 0: sweep "
-        "immediately)",
-    )
-    serve.add_argument(
         "--follow",
         type=float,
         default=0.0,
         metavar="SECONDS",
         help="poll the input file every SECONDS and ingest appended "
         "JSONL records live (0 disables; ingest bumps the generation "
-        "and retires every cached score)",
+        "and retires every held score and response)",
     )
     serve.add_argument(
         "--slo-rules",

@@ -295,7 +295,15 @@ class ScoredCube:
             message the scalar oracle raises (see :func:`score_cube`).
     """
 
-    __slots__ = ("regions", "quantile_source", "_cc", "_cube", "_tensors")
+    # Weak-referenceable, so a holder's release of a pass is checkable.
+    __slots__ = (
+        "regions",
+        "quantile_source",
+        "_cc",
+        "_cube",
+        "_tensors",
+        "__weakref__",
+    )
 
     def __init__(
         self,

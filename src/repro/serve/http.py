@@ -21,7 +21,10 @@ for — and a body is stamped with the generation of the result it was
 rendered from, so a repeat read returns exactly the bytes a fresh
 render would. Nothing is rendered before the first read, and only
 ``200`` responses are kept: ``304``/``404``/``422``/``503``/``500``
-are built per request, so a scan of unknown URLs cannot grow it.
+are built per request, so a scan of unknown URLs cannot grow it. A
+``/v1`` read answered from held bytes (a ``304`` revalidation
+included) counts ``serve.cache.hits``; one that renders counts
+``serve.cache.misses``.
 
 Score responses carry a strong ``ETag`` built from the config digest
 and the plane generation (``"<digest12>-<generation>"``). A client
@@ -52,9 +55,12 @@ from repro.obs.httpd import (
     TelemetryServer,
     json_response,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, counter
 
 from .service import ScoringService
+
+_HITS = counter("serve.cache.hits")
+_MISSES = counter("serve.cache.misses")
 
 #: Route label for every concrete /v1/scores/<region> path.
 REGION_ROUTE = "/v1/scores/:region"
@@ -169,7 +175,9 @@ class ServeServer(TelemetryServer):
         """Answer one /v1 read from the memo, rendering on a miss.
 
         ``render(key)`` builds the response at the service's current
-        state and stores a ``200`` under its result's generation. Only
+        state and stores a ``200`` under its result's generation; the
+        read counts ``serve.cache.misses``, and a read answered from
+        the memo counts ``serve.cache.hits``. Only
         a ``200`` can turn into a ``304``: the memo holds a body only
         for a representation that exists, and a miss renders exactly
         what the plain GET would, so a conditional GET never sweeps
@@ -177,7 +185,10 @@ class ServeServer(TelemetryServer):
         """
         response = self._memo.get(key, self.service.generation)
         if response is None:
+            _MISSES.inc()
             response = render(key)
+        else:
+            _HITS.inc()
         if response.status == 200:
             etag = response.headers["ETag"]
             if self._matches(headers, etag):

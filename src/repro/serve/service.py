@@ -1,4 +1,4 @@
-"""The scoring service: cached, coalesced queries over a live plane.
+"""The scoring service: one generation's scores pass over a live plane.
 
 :class:`ScoringService` is the engine behind ``iqb serve`` — it owns
 one measurement plane (a
@@ -19,29 +19,29 @@ Consistency model
 -----------------
 
 Every result is stamped with the plane generation it was computed
-from. One plane lock serializes ingest against cache-miss computes:
-``append`` bumps the generation only after the plane is fully
-consistent, and a compute re-reads the generation *inside* the lock,
-so a stamped result can never reflect a partially-appended batch.
-Cache hits take no lock at all — the steady-state read path is a dict
-lookup.
+from. The service holds one scores pass, the current generation's;
+generations only grow, so no read can ask for an older one. A read
+whose generation matches the held pass takes no lock: one attribute
+read and one integer compare. A miss takes the plane lock, which also
+serializes ingest: ``append`` bumps the generation only after the
+plane is fully consistent, and the miss re-reads the generation
+*inside* the lock, so a stamped result can never reflect a
+partially-appended batch.
 
-A burst of concurrent misses for the same (shape, digest, generation)
-key single-flights onto one kernel sweep. That scores pass is the only
-sweep a generation runs: it keeps its cube and tensors, and a
-per-region read rebuilds that one region's tree from them, so N
-regions × M clients cost one tensor pass plus N one-row rebuilds per
-generation (the HTTP layer keeps each rendered region, so a repeat
-read rebuilds nothing). An optional batch window makes the leader
-linger before sweeping so stragglers of the same burst coalesce
-instead of missing the flight.
+Misses that arrive while a sweep runs wait for it on the plane lock,
+then find the pass held and share it (``serve.coalesced`` counts
+them), so a burst of readers after an ingest costs one sweep. That
+scores pass is the only sweep a generation runs: it keeps its cube and
+tensors, and a per-region read rebuilds that one region's tree from
+them, so N regions × M clients cost one tensor pass plus N one-row
+rebuilds per generation (the HTTP layer keeps each rendered region,
+so a repeat read rebuilds nothing).
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -57,9 +57,8 @@ from repro.measurements.columnar import ColumnBatch
 from repro.obs.manifest import config_digest
 from repro.obs.registry import counter
 
-from .cache import ScoreCache, SingleFlight
-
 _SWEEPS = counter("serve.compute.sweeps")
+_COALESCED = counter("serve.coalesced")
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class NationalResult:
 
 
 class ScoringService:
-    """Query engine over one plane: generation-cached, single-flighted.
+    """Query engine over one plane, holding its current scores pass.
 
     Args:
         store: the measurement plane — a ``ColumnarStore`` (exact,
@@ -97,12 +96,6 @@ class ScoringService:
             ``None`` weighs every scored region equally.
         quantiles: global quantile-plane override (``"exact"`` /
             ``"sketch"`` / ``None`` = follow the config policy).
-        cache_size: LRU bound on retained results (each entry is one
-            generation's scores pass — its values, cube and tensors —
-            or its national rollup).
-        batch_window_s: how long a cache-miss leader waits before
-            sweeping, so a request burst lands on one compute. 0
-            (default) sweeps immediately.
     """
 
     def __init__(
@@ -111,8 +104,6 @@ class ScoringService:
         config: IQBConfig,
         populations: Optional[Mapping[str, float]] = None,
         quantiles: Optional[str] = None,
-        cache_size: int = 64,
-        batch_window_s: float = 0.0,
     ) -> None:
         if quantiles is not None and quantiles not in QUANTILE_SOURCES:
             raise ValueError(
@@ -131,7 +122,6 @@ class ScoringService:
             dict(populations) if populations is not None else None
         )
         self._quantiles = quantiles
-        self._batch_window_s = float(batch_window_s)
         self.config_sha256 = config_digest(config)
         if native == "sketch":
             # A bare sketch plane is its own (only) quantile source;
@@ -146,11 +136,10 @@ class ScoringService:
                 self._source = "sketch"
             else:
                 self._source = "mixed"
-        # One lock orders ingest against cache-miss computes: a sweep
-        # holding it sees either none or all of any appended batch.
+        # One lock orders ingest against sweeps: a sweep holding it
+        # sees either none or all of any appended batch.
         self._plane_lock = threading.Lock()
-        self._cache = ScoreCache(maxsize=cache_size)
-        self._flight = SingleFlight()
+        self._held: Optional[ScoresResult] = None
 
     # -- plane state --------------------------------------------------------
 
@@ -168,7 +157,7 @@ class ScoringService:
         """The (strong) entity tag for one generation's results.
 
         ``"<config digest prefix>-<generation>"`` — changes iff the
-        config or the plane does, which is exactly when any cached
+        config or the plane does, which is exactly when any held
         representation goes stale.
         """
         stamp = self.generation if generation is None else generation
@@ -181,7 +170,7 @@ class ScoringService:
         (what ``serve --follow`` decodes) or measurement records. Runs
         under the plane lock, so no concurrent sweep observes a
         half-appended batch; the generation bump (inside ``append`` /
-        ``extend``) is what retires every cached result.
+        ``extend``) is what retires the held scores pass.
         """
         batch = (
             records
@@ -198,54 +187,38 @@ class ScoringService:
                 self._store.extend(batch)
         return len(batch)
 
-    # -- the cached sweep core ----------------------------------------------
-
-    def _sweep(self, shape: str, compute_locked):
-        """Serve one query shape: cache → single-flight → locked compute.
-
-        ``compute_locked(generation)`` runs under the plane lock with
-        the *re-read* generation and must return a result stamped with
-        it. The result is cached under the generation it was computed
-        from — not the (possibly stale) one the request observed — so
-        a result can only ever be served for the plane state it
-        actually reflects.
-        """
-        observed = self.generation
-        key = (shape, self.config_sha256, observed)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        def leader():
-            if self._batch_window_s > 0.0:
-                # Let the rest of the burst pile onto this flight
-                # before paying for the sweep once.
-                time.sleep(self._batch_window_s)
-            with self._plane_lock:
-                fresh = self.generation
-                result = compute_locked(fresh)
-            self._cache.put((shape, self.config_sha256, fresh), result)
-            return result
-
-        result, _led = self._flight.run(key, leader)
-        return result
-
     # -- query shapes --------------------------------------------------------
 
     def scores(self) -> ScoresResult:
-        """Every region's composite score at the current generation."""
+        """Every region's composite score at the current generation.
 
-        def compute(generation: int) -> ScoresResult:
+        Answered from the held pass when its generation is current;
+        otherwise the plane lock is taken and the generation re-read,
+        and the pass is run once and held unless a reader that got the
+        lock first already did (this reader then counts
+        ``serve.coalesced``). The result is stamped with the generation
+        re-read under the lock, so it is only ever served for the plane
+        state it reflects.
+        """
+        held = self._held
+        if held is not None and held.generation == self.generation:
+            return held
+        with self._plane_lock:
+            generation = self.generation
+            held = self._held
+            if held is not None and held.generation == generation:
+                _COALESCED.inc()
+                return held
             _SWEEPS.inc()
             scored = scored_store(self._store, self._config, modes=self._modes)
-            return ScoresResult(
+            held = ScoresResult(
                 generation=generation,
                 values=scored.values(),
                 quantile_source=self._source,
                 scored=scored,
             )
-
-        return self._sweep("values", compute)
+            self._held = held
+            return held
 
     def breakdown(self, region: str) -> Tuple[int, ScoreBreakdown]:
         """One region's breakdown tree at the current generation.
@@ -266,40 +239,26 @@ class ScoringService:
     def national(self) -> NationalResult:
         """The population-weighted rollup at the current generation.
 
-        Rides the :meth:`scores` sweep (scores-only values are all
-        Eq. 5 needs); with no population table every region weighs the
-        same, which is the honest default for fixture campaigns.
+        Computed from the :meth:`scores` pass on each call (scores-only
+        values are all Eq. 5 needs, and the HTTP layer keeps the
+        rendered rollup per generation); with no population table every
+        region weighs the same, which is the honest default for fixture
+        campaigns.
         """
         scores = self.scores()
-
-        def compute(generation: int) -> NationalResult:
-            populations = self._populations
-            if populations is None:
-                populations = {region: 1.0 for region in scores.values}
-            rollup = national_score(scores.values, populations)
-            return NationalResult(
-                generation=scores.generation, national=rollup
-            )
-
-        # Cheap relative to a kernel sweep, but cached so repeated
-        # polls are dict lookups; keyed by the scores result's own
-        # stamp (not a re-read) to stay consistent with it.
-        observed = scores.generation
-        key = ("national", self.config_sha256, observed)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = compute(observed)
-        self._cache.put(key, result)
-        return result
+        populations = self._populations
+        if populations is None:
+            populations = {region: 1.0 for region in scores.values}
+        return NationalResult(
+            generation=scores.generation,
+            national=national_score(scores.values, populations),
+        )
 
     def config_document(self) -> Dict[str, object]:
-        """The /v1/config payload: digest, knobs, and the config."""
+        """The /v1/config payload: digest, quantile plane, and the config."""
         return {
             "config_sha256": self.config_sha256,
             "quantiles": self._quantiles,
             "quantile_source": self._source,
-            "cache_size": self._cache.maxsize,
-            "batch_window_s": self._batch_window_s,
             "config": json.loads(self._config.to_json()),
         }

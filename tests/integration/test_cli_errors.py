@@ -128,8 +128,13 @@ OUT_OF_RANGE = [
     "trend {data} r1 --window-days 0",
     "sweep {data} r1 --percentiles 150",
     "monitor {data} --trailing 0",
-    "serve {data} --cache-size 0",
     "serve {data} --port 70000",
+    "serve {data} --port 0 --follow inf",
+    "serve {data} --port 0 --follow nan",
+    "serve {data} --port 0 --follow -1",
+    "serve {data} --port 0 --drain-timeout nan",
+    "serve {data} --port 0 --drain-timeout inf",
+    "serve {data} --port 0 --drain-timeout -1",
     "cache build {data} --cache {out} --period-days 0",
 ]
 

@@ -2,9 +2,9 @@
 
 These boot the CLI the way an operator (or the CI smoke step) does:
 spawn the process, read the ephemeral port off stderr, talk HTTP to
-it, and shut it down with real signals. The graceful-shutdown test is
-the regression test for the drain contract: a request caught in
-flight by SIGTERM must still complete before the process exits 0.
+it, and shut it down with real signals: SIGTERM drains and exits 0.
+That a drain waits for a request held mid-dispatch is tested in-process
+(``tests/serve/test_http_serve.py``).
 """
 
 import json
@@ -13,7 +13,6 @@ import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -115,43 +114,6 @@ class TestServeLifecycle:
         finally:
             code, stdout, _ = _finish(process)
         assert code == 0
-        assert "serve: shut down after" in stdout
-        assert "(drain timed out)" not in stdout
-
-    def test_sigterm_drains_request_in_flight(
-        self, fixture_path, tmp_path
-    ):
-        # A 0.5 s batch window makes the first (cache-miss) request
-        # slow enough to be caught mid-flight by the signal.
-        process, base = _spawn(
-            [
-                "serve",
-                str(fixture_path),
-                "--port",
-                "0",
-                "--batch-window",
-                "0.5",
-            ],
-            str(tmp_path),
-        )
-        responses = []
-
-        def request():
-            responses.append(_get(f"{base}/v1/scores", timeout=20.0))
-
-        client = threading.Thread(target=request)
-        try:
-            client.start()
-            time.sleep(0.15)  # inside the batch window: request in flight
-        finally:
-            code, stdout, _ = _finish(process)
-        client.join(timeout=20.0)
-        assert code == 0
-        # The in-flight request completed with a full, parseable body.
-        assert len(responses) == 1
-        status, _, body = responses[0]
-        assert status == 200
-        assert json.loads(body)["generation"] == 0
         assert "serve: shut down after" in stdout
         assert "(drain timed out)" not in stdout
 

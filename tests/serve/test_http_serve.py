@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -54,6 +55,14 @@ def service(store, config):
 
 def _sweeps():
     return REGISTRY.counter("serve.compute.sweeps").value
+
+
+def _reads():
+    """(serve.cache.hits, serve.cache.misses) so far."""
+    return (
+        REGISTRY.counter("serve.cache.hits").value,
+        REGISTRY.counter("serve.cache.misses").value,
+    )
 
 
 def _held(server):
@@ -212,8 +221,13 @@ class TestConfigEndpoint:
         status, _, body = _get(server.url("/v1/config"))
         assert status == 200
         document = json.loads(body)
+        assert set(document) == {
+            "config",
+            "config_sha256",
+            "quantile_source",
+            "quantiles",
+        }
         assert document["config_sha256"] == service.config_sha256
-        assert "kernel" not in document
         assert "thresholds" in document["config"]
 
     def test_config_etag_is_generation_independent(
@@ -281,6 +295,66 @@ class TestTelemetrySurface:
 
     def test_drain_idle_server(self, server):
         assert server.drain(timeout=1.0) is True
+
+    def test_drain_waits_for_a_request_in_flight(
+        self, service, registry, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        scores = service.scores
+
+        def held_scores():
+            entered.set()
+            assert release.wait(timeout=10.0)
+            return scores()
+
+        monkeypatch.setattr(service, "scores", held_scores)
+        responses = []
+        with ServeServer(service, registry=registry, port=0) as server:
+            client = threading.Thread(
+                target=lambda: responses.append(
+                    _get(server.url("/v1/scores"))
+                )
+            )
+            client.start()
+            try:
+                assert entered.wait(timeout=10.0)
+                # The GET is held inside dispatch: not drained.
+                assert server.drain(timeout=0.1) is False
+            finally:
+                release.set()
+            assert server.drain() is True
+            client.join(timeout=10.0)
+        assert len(responses) == 1
+        status, _, body = responses[0]
+        assert status == 200
+        assert json.loads(body)["generation"] == 0
+
+
+class TestReadCounters:
+    """A /v1 read answered from held bytes counts ``serve.cache.hits``;
+    a read that renders counts ``serve.cache.misses``."""
+
+    @pytest.mark.parametrize("path", V1_PATHS)
+    def test_one_miss_per_path_and_generation(self, service, records, path):
+        server = ServeServer(service, registry=MetricsRegistry())
+        hits, misses = _reads()
+        first = server.dispatch(path, {})
+        assert first.status == 200
+        reads = 5
+        for _ in range(reads - 2):
+            assert server.dispatch(path, {}).status == 200
+        revalidated = server.dispatch(
+            path, {"If-None-Match": first.headers["ETag"]}
+        )
+        assert revalidated.status == 304
+        assert _reads() == (hits + reads - 1, misses + 1)
+        service.ingest(
+            [dataclasses.replace(records[0], region="region-new")]
+        )
+        assert server.dispatch(path, {}).status == 200
+        assert _reads() == (hits + reads - 1, misses + 2)
+        assert server.dispatch(path, {}).status == 200
+        assert _reads() == (hits + reads, misses + 2)
 
 
 class TestConditionalGetNeedsARepresentation:

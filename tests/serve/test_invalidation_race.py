@@ -118,57 +118,58 @@ def test_reads_racing_ingest_stay_generation_consistent():
     assert final.values == expected[_N_BATCHES]
 
 
-def test_ingest_during_batch_window_never_mixes_generations():
-    """A sweep whose leader lingers in the batch window must stamp and
-    serve the generation it actually computed from — even when an
-    ingest lands mid-window."""
+class _HeldAppendStore(ColumnarStore):
+    """A columnar store whose ``append`` waits for ``release`` once it
+    has started (``appending`` is set), before the plane changes."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.appending = threading.Event()
+        self.release = threading.Event()
+
+    def append(self, batch):
+        self.appending.set()
+        assert self.release.wait(timeout=10.0)
+        return super().append(batch)
+
+
+def test_miss_waiting_on_an_ingest_stamps_the_post_ingest_generation():
+    """A miss that arrives while an ingest holds the plane lock waits
+    for it, then sweeps and stamps the post-ingest plane — never the
+    generation it observed before waiting."""
     config = paper_config()
     initial = batch(2)
     extra = [
         dataclasses.replace(record, region="late-arrival")
         for record in batch(1)
     ]
-    expected_before = score_values(ColumnarStore(list(initial)), config)
     expected_after = score_values(
         ColumnarStore(list(initial) + list(extra)), config
     )
 
-    service = ScoringService(
-        ColumnarStore(initial), config, batch_window_s=0.1
-    )
-    results = []
-
-    def read():
-        results.append(service.scores())
-
-    reader = threading.Thread(target=read)
-    reader.start()
-    # Land the ingest while the leader is still lingering in its
-    # window: the sweep must then observe the *post*-ingest plane.
-    ingested = threading.Event()
-
-    def write():
-        service.ingest(extra)
-        ingested.set()
-
-    writer = threading.Thread(target=write)
+    store = _HeldAppendStore(initial)
+    service = ScoringService(store, config)
+    writer = threading.Thread(target=service.ingest, args=(extra,))
     writer.start()
-    writer.join(timeout=5.0)
+    assert store.appending.wait(timeout=10.0)
+    # The ingest now holds the plane lock at generation 0; a read
+    # misses (nothing is held yet) and must wait on that lock.
+    assert service.generation == 0
+    results = []
+    reader = threading.Thread(target=lambda: results.append(service.scores()))
+    reader.start()
+    reader.join(timeout=0.2)
+    assert reader.is_alive(), "the miss did not wait for the ingest"
+    store.release.set()
+    writer.join(timeout=10.0)
     reader.join(timeout=10.0)
-    assert ingested.is_set()
+    assert not writer.is_alive() and not reader.is_alive()
     assert len(results) == 1
     (result,) = results
-    # Whichever side of the lock the sweep landed on, the stamp and the
-    # values must agree with each other.
-    if result.generation == 0:
-        assert result.values == expected_before
-    else:
-        assert result.generation == 1
-        assert result.values == expected_after
-    # And a fresh read now reflects the ingest exactly.
-    final = service.scores()
-    assert final.generation == 1
-    assert final.values == expected_after
+    assert result.generation == 1
+    assert result.values == expected_after
+    assert "late-arrival" in result.values
+    assert service.scores() is result
 
 
 def _etag_generation(etag):

@@ -1,10 +1,13 @@
 """Unit tests for repro.serve.service (ScoringService)."""
 
 import dataclasses
+import gc
 import threading
+import weakref
 
 import pytest
 
+from repro.core.config import MissingDataPolicy
 from repro.core.exceptions import DataError
 from repro.core.kernel import score_values
 from repro.core.scoring import score_regions
@@ -16,6 +19,31 @@ from repro.serve import ScoringService
 
 def _sweeps():
     return REGISTRY.counter("serve.compute.sweeps").value
+
+
+def _coalesced():
+    return REGISTRY.counter("serve.coalesced").value
+
+
+def _together(n, read):
+    """Run ``read()`` on n barrier-synced threads; returns what each
+    returned, or the exception it raised."""
+    outcomes = []
+    barrier = threading.Barrier(n)
+
+    def run():
+        barrier.wait(timeout=5.0)
+        try:
+            outcomes.append(read())
+        except Exception as exc:  # noqa: BLE001 - compared by the caller
+            outcomes.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10.0)
+    return outcomes
 
 
 class TestScores:
@@ -143,10 +171,15 @@ class TestNational:
         with pytest.raises(DataError):
             service.national()
 
-    def test_cached_per_generation(self, store, config):
+    def test_equal_rollups_from_one_sweep(self, store, config):
         service = ScoringService(store, config)
+        before = _sweeps()
         first = service.national()
-        assert service.national() is first
+        second = service.national()
+        assert _sweeps() == before + 1
+        assert second == first
+        assert second.national.value == first.national.value
+        assert second.generation == first.generation == 0
 
 
 class TestSketchPlane:
@@ -183,32 +216,117 @@ class TestSketchPlane:
 
 class TestCoalescing:
     def test_concurrent_misses_share_one_sweep(self, store, config):
-        service = ScoringService(store, config, batch_window_s=0.05)
+        service = ScoringService(store, config)
         before = _sweeps()
-        results = []
-        barrier = threading.Barrier(8)
-
-        def read():
-            barrier.wait(timeout=5.0)
-            results.append(service.scores())
-
-        threads = [threading.Thread(target=read) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
+        results = _together(8, service.scores)
         assert len(results) == 8
         assert _sweeps() == before + 1
-        assert all(r.values == results[0].values for r in results)
+        assert all(r is results[0] for r in results)
         assert all(r.generation == 0 for r in results)
+
+    def test_readers_held_behind_a_sweep_count_coalesced(
+        self, store, config, monkeypatch
+    ):
+        import repro.serve.service as service_module
+
+        entered, release = threading.Event(), threading.Event()
+        sweep = service_module.scored_store
+
+        def held_sweep(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=10.0)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "scored_store", held_sweep)
+        service = ScoringService(store, config)
+        # Count arrivals at the plane lock: the held readers must be
+        # queued on it before the sweep is let go.
+        plane_lock = service._plane_lock
+        arrived = threading.Semaphore(0)
+
+        class _CountingLock:
+            def __enter__(self):
+                arrived.release()
+                return plane_lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return plane_lock.__exit__(*exc_info)
+
+        service._plane_lock = _CountingLock()
+        before_sweeps, before_coalesced = _sweeps(), _coalesced()
+        results = []
+
+        def read():
+            results.append(service.scores())
+
+        leader = threading.Thread(target=read)
+        leader.start()
+        assert entered.wait(timeout=10.0)
+        assert arrived.acquire(timeout=10.0)
+        riders = [threading.Thread(target=read) for _ in range(3)]
+        for thread in riders:
+            thread.start()
+        for _ in riders:
+            assert arrived.acquire(timeout=10.0)
+        release.set()
+        for thread in [leader, *riders]:
+            thread.join(timeout=10.0)
+        assert len(results) == 4
+        assert all(r is results[0] for r in results)
+        assert _sweeps() == before_sweeps + 1
+        assert _coalesced() == before_coalesced + 3
+        # A later read at the same generation is a plain hit.
+        assert service.scores() is results[0]
+        assert _coalesced() == before_coalesced + 3
+
+    def test_a_failing_pass_gives_every_reader_its_error(
+        self, config, records
+    ):
+        plane = ColumnarStore(
+            [dataclasses.replace(r, packet_loss=None) for r in records]
+        )
+        strict = config.with_(missing_data=MissingDataPolicy.STRICT)
+        with pytest.raises(DataError) as alone:
+            ScoringService(plane, strict).scores()
+        service = ScoringService(plane, strict)
+        outcomes = _together(8, service.scores)
+        assert len(outcomes) == 8
+        assert all(isinstance(o, DataError) for o in outcomes)
+        assert {str(o) for o in outcomes} == {str(alone.value)}
+        assert "strict" in str(alone.value)
+
+
+class TestRetention:
+    def test_earlier_generations_passes_are_freed(
+        self, store, config, records
+    ):
+        service = ScoringService(store, config)
+        passes = []
+        for i in range(4):
+            passes.append(weakref.ref(service.scores().scored))
+            service.national()
+            service.breakdown("region-000")
+            service.ingest(
+                [dataclasses.replace(records[0], region=f"region-new-{i}")]
+            )
+        current = service.scores().scored
+        gc.collect()
+        assert [ref() for ref in passes] == [None] * len(passes)
+        assert service.scores().scored is current
 
 
 class TestConfigDocument:
     def test_document_shape(self, store, config):
-        service = ScoringService(store, config, cache_size=8)
+        service = ScoringService(store, config)
         document = service.config_document()
+        assert set(document) == {
+            "config",
+            "config_sha256",
+            "quantile_source",
+            "quantiles",
+        }
         assert document["config_sha256"] == service.config_sha256
-        assert "kernel" not in document and "workers" not in document
-        assert document["cache_size"] == 8
+        assert document["quantiles"] is None
+        assert document["quantile_source"] == "exact"
         assert "version" in document["config"]
         assert "thresholds" in document["config"]
