@@ -1,205 +1,65 @@
-"""Unit tests for repro.serve.cache (LRU cache + single-flight)."""
+"""Concurrent /v1 misses against serve's one-generation caching.
+
+The service holds the current generation's scores pass and the HTTP
+layer keeps each rendered ``200``; misses that arrive while the pass
+runs must share that one sweep and be served the same kept bytes.
+"""
 
 import threading
 import time
 
-import pytest
-
-from repro.obs.registry import REGISTRY
-from repro.serve.cache import ScoreCache, SingleFlight
+import repro.serve.service as service_module
+from repro.obs.registry import REGISTRY, MetricsRegistry
+from repro.serve import ScoringService, ServeServer
 
 
 def _counter(name):
     return REGISTRY.counter(name).value
 
 
-class TestScoreCache:
-    def test_get_miss_then_hit(self):
-        cache = ScoreCache(maxsize=4)
-        assert cache.get(("values", 0)) is None
-        cache.put(("values", 0), {"a": 1.0})
-        assert cache.get(("values", 0)) == {"a": 1.0}
-
-    def test_hit_miss_counters(self):
-        cache = ScoreCache(maxsize=4)
-        hits, misses = _counter("serve.cache.hits"), _counter(
-            "serve.cache.misses"
-        )
-        cache.get("absent")
-        cache.put("present", 1)
-        cache.get("present")
-        assert _counter("serve.cache.misses") == misses + 1
-        assert _counter("serve.cache.hits") == hits + 1
-
-    def test_lru_eviction_order_and_counter(self):
-        cache = ScoreCache(maxsize=2)
-        evictions = _counter("serve.cache.evictions")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh: b is now least-recently-used
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert _counter("serve.cache.evictions") == evictions + 1
-        assert len(cache) == 2
-
-    def test_put_refreshes_existing_key(self):
-        cache = ScoreCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # refresh, not a new entry
-        cache.put("c", 3)
-        assert cache.get("a") == 10
-        assert cache.get("b") is None
-
-    def test_clear(self):
-        cache = ScoreCache(maxsize=2)
-        cache.put("a", 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("a") is None
-
-    def test_maxsize_validated(self):
-        with pytest.raises(ValueError):
-            ScoreCache(maxsize=0)
-
-
 class TestSingleFlight:
-    def test_single_caller_runs_compute(self):
-        flight = SingleFlight()
-        value, led = flight.run("k", lambda: 42)
-        assert (value, led) is not None
-        assert value == 42
-        assert led is True
-
-    def test_sequential_calls_compute_again(self):
-        # SingleFlight only collapses *concurrent* calls; memory of
-        # past results is the cache's job.
-        flight = SingleFlight()
-        calls = []
-        flight.run("k", lambda: calls.append(1) or len(calls))
-        flight.run("k", lambda: calls.append(1) or len(calls))
-        assert len(calls) == 2
-
-    def test_concurrent_misses_collapse_to_one_compute(self):
-        flight = SingleFlight()
+    def test_concurrent_misses_collapse_to_one_compute(
+        self, store, config, monkeypatch
+    ):
         computes = []
         release = threading.Event()
+        sweep = service_module.scored_store
 
-        def compute():
+        def held_sweep(*args, **kwargs):
             computes.append(threading.get_ident())
-            release.wait(5.0)
-            return "swept"
+            assert release.wait(timeout=5.0)
+            return sweep(*args, **kwargs)
 
-        results = []
+        monkeypatch.setattr(service_module, "scored_store", held_sweep)
+        server = ServeServer(
+            ScoringService(store, config), registry=MetricsRegistry()
+        )
+        sweeps = _counter("serve.compute.sweeps")
+        misses = _counter("serve.cache.misses")
+        responses = []
 
         def worker():
-            results.append(flight.run("k", compute))
+            responses.append(server.dispatch("/v1/scores", {}))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
             thread.start()
-        # Let every follower reach the wait before releasing the leader.
+        # Nothing is kept while the sweep is held, so every read is a
+        # miss; release only once all eight have missed.
         deadline = time.time() + 5.0
-        while len(computes) == 0 and time.time() < deadline:
+        while (
+            _counter("serve.cache.misses") < misses + 8
+            and time.time() < deadline
+        ):
             time.sleep(0.01)
-        time.sleep(0.1)
+        assert _counter("serve.cache.misses") == misses + 8
         release.set()
         for thread in threads:
             thread.join(timeout=5.0)
         assert len(computes) == 1
-        assert len(results) == 8
-        assert all(value == "swept" for value, _ in results)
-        assert sum(1 for _, led in results if led) == 1
-
-    def test_coalesced_counter_counts_followers(self):
-        flight = SingleFlight()
-        coalesced = _counter("serve.coalesced")
-        release = threading.Event()
-        started = threading.Event()
-
-        def compute():
-            started.set()
-            release.wait(5.0)
-            return 1
-
-        leader = threading.Thread(target=lambda: flight.run("k", compute))
-        leader.start()
-        assert started.wait(5.0)
-        followers = [
-            threading.Thread(target=lambda: flight.run("k", compute))
-            for _ in range(3)
-        ]
-        for thread in followers:
-            thread.start()
-        # Followers must have registered before the leader finishes.
-        deadline = time.time() + 5.0
-        while (
-            _counter("serve.coalesced") < coalesced + 3
-            and time.time() < deadline
-        ):
-            time.sleep(0.01)
-        release.set()
-        leader.join(timeout=5.0)
-        for thread in followers:
-            thread.join(timeout=5.0)
-        assert _counter("serve.coalesced") == coalesced + 3
-
-    def test_leader_error_propagates_to_followers(self):
-        flight = SingleFlight()
-        started = threading.Event()
-        release = threading.Event()
-
-        def compute():
-            started.set()
-            release.wait(5.0)
-            raise RuntimeError("sweep failed")
-
-        errors = []
-
-        def call():
-            try:
-                flight.run("k", compute)
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        leader = threading.Thread(target=call)
-        leader.start()
-        assert started.wait(5.0)
-        follower = threading.Thread(target=call)
-        follower.start()
-        time.sleep(0.05)
-        release.set()
-        leader.join(timeout=5.0)
-        follower.join(timeout=5.0)
-        assert errors == ["sweep failed", "sweep failed"]
-
-    def test_distinct_keys_do_not_coalesce(self):
-        flight = SingleFlight()
-        release = threading.Event()
-        computes = []
-
-        def compute_for(key):
-            def compute():
-                computes.append(key)
-                release.wait(2.0)
-                return key
-
-            return compute
-
-        threads = [
-            threading.Thread(
-                target=lambda k=k: flight.run(k, compute_for(k))
-            )
-            for k in ("a", "b")
-        ]
-        for thread in threads:
-            thread.start()
-        deadline = time.time() + 2.0
-        while len(computes) < 2 and time.time() < deadline:
-            time.sleep(0.01)
-        release.set()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert sorted(computes) == ["a", "b"]
+        assert _counter("serve.compute.sweeps") == sweeps + 1
+        assert len(responses) == 8
+        assert all(r.status == 200 for r in responses)
+        assert all(r is responses[0] for r in responses)
+        assert server.dispatch("/v1/scores", {}) is responses[0]
+        assert len(computes) == 1
