@@ -21,12 +21,12 @@ with the same rigor as the measurements:
   completeness, and stale (region, dataset) cells.
 
 Routing lives on the *server object* (:meth:`TelemetryServer.dispatch`
-returns a :class:`Response`), not in the handler, so subclasses — the
+returns a :class:`Response`), not in the transport, so subclasses — the
 scoring service's :class:`~repro.serve.http.ServeServer` — extend the
-route table by overriding one method. The handler contributes the
-transport-level guarantees around every dispatch:
+route table by overriding one method. The transport contributes the
+guarantees around every dispatch:
 
-* a handler exception becomes a well-formed 500 JSON body (correct
+* a dispatch exception becomes a well-formed 500 JSON body (correct
   ``Content-Length``, so clients never hang on a truncated response)
   and bumps the ``http.errors`` counter;
 * every request is counted per (route, status) and timed into an
@@ -35,26 +35,40 @@ transport-level guarantees around every dispatch:
 * in-flight requests are tracked, so :meth:`TelemetryServer.drain`
   can wait them out before a graceful shutdown.
 
-The server is a daemon-threaded stdlib ``http.server`` — it never
-blocks pipeline work or process exit, and serving a scrape costs one
-registry snapshot. Binding port 0 picks an ephemeral port (the bound
-port is returned from :meth:`TelemetryServer.start`), which is also how
-the integration tests run against a live campaign.
+The transport is a lean HTTP/1.0 server on ``socketserver.TCPServer``.
+Each connection carries one GET: its head is read with the limits
+``http.server`` applies (and refused with the status it gave), and the
+status line, headers and body go out in one ``sendmsg`` (a POSIX
+socket call) before the connection closes. Connections are answered
+on reused daemon worker threads: a new one starts only when none is
+idle, and at most ``os.cpu_count()`` wait for work. So the server
+never blocks pipeline work or process exit, and serving a scrape
+costs one registry snapshot. Binding port 0 picks an ephemeral port
+(the bound port is returned from :meth:`TelemetryServer.start`), which
+is also how the integration tests run against a live campaign.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import queue
+import re
+import socket
+import socketserver
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .exposition import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from .exposition import escape_help, format_labels, prometheus_name
 from .health import HealthMonitor, get_health_monitor
 from .logs import get_logger
 from .registry import REGISTRY, MetricsRegistry, counter
+from .spans import clear_span_stack
 
 _logger = get_logger(__name__)
 
@@ -71,10 +85,10 @@ _EMPTY_HEADERS: Mapping[str, str] = {}
 
 
 class Response(NamedTuple):
-    """One dispatched response, ready for the handler to write.
+    """One dispatched response, ready for the transport to write.
 
     ``body`` is the encoded payload: each builder encodes once, so the
-    handler writes the bytes as they are (and a server may hand the
+    transport writes the bytes as they are (and a server may hand the
     same response to many requests). ``route`` is the *label* the
     request is accounted under (the route-table entry, e.g.
     ``/v1/scores/:region`` — never the raw concrete path, which would
@@ -101,25 +115,261 @@ def json_response(
     )
 
 
-class _TelemetryHandler(BaseHTTPRequestHandler):
-    """Transport shim: dispatch on the server object, reply safely."""
+#: ``http.server``'s limits: bytes per request or header line (its
+#: newline included), and lines per head after the request line (the
+#: blank one that ends it included).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_RECV_BYTES = 8192
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+_SERVER = "iqb Python/" + sys.version.split()[0]
+_STATUS_LINES: Dict[int, str] = {
+    int(s): f"HTTP/1.0 {int(s)} {s.phrase}" for s in HTTPStatus
+}
 
-    server: "_TelemetryHTTPServer"
 
-    # Silence the default stderr access log; scrapes are periodic and
-    # the request counter already accounts for them.
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        pass
+class _Refused(Exception):
+    """A refused request head: its status, and whether it was a HEAD."""
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def __init__(self, status: int, head: bool = False) -> None:
+        super().__init__(status)
+        self.status = status
+        self.head = head
+
+
+class _Headers(Dict[str, str]):
+    """Request headers keyed by lower-cased name; lookups ignore case."""
+
+    def get(  # type: ignore[override]
+        self, name: str, default: Optional[str] = None
+    ) -> Optional[str]:
+        return super().get(name.lower(), default)
+
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
+
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and super().__contains__(name.lower())
+
+
+class _HeadReader:
+    """Lines of one request head, read straight off the socket.
+
+    :meth:`readline` behaves as ``http.server``'s
+    ``rfile.readline(65537)``: a line is returned with its newline, a
+    line over the limit is cut at ``_MAX_LINE + 1`` bytes (so its
+    length tells the caller), and a connection closed mid-line yields
+    what arrived, then ``b""``.
+    """
+
+    __slots__ = ("_sock", "_data", "_start")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._data = b""
+        self._start = 0
+
+    def readline(self) -> bytes:
+        while True:
+            data, start = self._data, self._start
+            end = data.find(b"\n", start, start + _MAX_LINE + 1)
+            if end >= 0:
+                self._start = end + 1
+                return data[start:end + 1]
+            if len(data) - start > _MAX_LINE:
+                self._start = start + _MAX_LINE + 1
+                return data[start:self._start]
+            chunk = self._sock.recv(_RECV_BYTES)
+            self._data, self._start = data[start:] + chunk, 0
+            if not chunk:
+                self._start = len(self._data)
+                return self._data
+
+
+def _read_request(reader: _HeadReader) -> Optional[Tuple[str, _Headers]]:
+    """The path and headers of one GET, or None for no request at all.
+
+    Checks run in ``http.server``'s order, so every refusal carries its
+    status: 414 for a request line over 65,536 bytes; 400 for a version
+    that is not ``HTTP/<digits>.<digits>``, 505 for ``HTTP/2.0`` and
+    above, 400 for one word or more than three; 431 for a header line
+    over 65,536 bytes or more than 100 head lines after the request
+    line (the blank one that ends the head counts, as in
+    ``http.client``); 501 for a method other than GET. A blank request
+    line or a connection closed before one is no request.
+    """
+    line = reader.readline()
+    if len(line) > _MAX_LINE:
+        raise _Refused(414)
+    words = line.decode("iso-8859-1").split()
+    if not words:
+        return None
+    if len(words) >= 3:
+        version = _VERSION.fullmatch(words[-1])
+        if version is None:
+            raise _Refused(400)
+        if int(version.group(1)) >= 2:
+            raise _Refused(505)
+    if not 2 <= len(words) <= 3:
+        raise _Refused(400)
+    method, path = words[0], words[1]
+    if len(words) == 2 and method != "GET":
+        raise _Refused(400)  # HTTP/0.9 knows only GET
+    headers = _Headers()
+    for count in range(1, _MAX_HEADERS + 2):
+        line = reader.readline()
+        if len(line) > _MAX_LINE or count > _MAX_HEADERS:
+            raise _Refused(431)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if colon:
+            headers.setdefault(name.strip().lower(), value.strip())
+    if method != "GET":
+        raise _Refused(501, head=method == "HEAD")
+    # gh-87389: "//host/x" reads as a scheme-relative URL to clients.
+    if path.startswith("//"):
+        path = "/" + path.lstrip("/")
+    return path.split("?", 1)[0], headers
+
+
+class _Listener(socketserver.TCPServer):
+    """The bound socket and the daemon threads that answer it.
+
+    ``socketserver`` binds, accepts and shuts down; a connection never
+    reaches its handler class. Each accepted connection goes to an idle
+    worker thread, or to a new one when none is idle, so a held
+    connection never blocks the next. A worker reads one request,
+    answers it in HTTP/1.0 and closes the connection, then waits for
+    the next one, unless ``os.cpu_count()`` workers already wait: then
+    it exits. :meth:`server_close` ends the waiting workers; a busy one
+    exits after its connection.
+    """
+
+    allow_reuse_address = True
+
+    def __init__(self, telemetry: "TelemetryServer") -> None:
+        self.telemetry = telemetry
+        self._max_idle = os.cpu_count() or 1
+        self._lock = threading.Lock()
+        # (inbox, thread) per waiting worker; the last one in is reused.
+        self._idle: List[Tuple[queue.SimpleQueue, threading.Thread]] = []
+        self._started = 0
+        self._closed = False
+        self._date = (0, "")  # (unix second, Date header value)
+        # Binds and listens; a failed bind calls server_close().
+        super().__init__(
+            (telemetry.host, telemetry._requested_port),
+            socketserver.BaseRequestHandler,
+        )
+
+    def process_request(
+        self, request: socket.socket, client_address: object
+    ) -> None:
+        with self._lock:
+            if self._idle:
+                inbox, _ = self._idle.pop()
+                inbox.put(request)
+                return
+            self._started += 1
+            name = f"iqb-http-{self.server_address[1]}-{self._started}"
+        threading.Thread(
+            target=self._work, args=(request,), name=name, daemon=True
+        ).start()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox, _ in idle:
+            inbox.put(None)
+        for _, worker in idle:
+            worker.join(timeout=5.0)
+
+    def _work(self, sock: Optional[socket.socket]) -> None:
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        worker = threading.current_thread()
+        while sock is not None:
+            clear_span_stack()
+            try:
+                self._exchange(sock)
+            except OSError:
+                pass  # the client hung up; there is no one to answer
+            except Exception as exc:  # noqa: BLE001 - keep the worker
+                _logger.error(
+                    "telemetry transport error",
+                    exc_info=True,
+                    extra={"ctx": {"error": repr(exc)}},
+                )
+            # Wait before closing: a client that reads to EOF connects
+            # again only after the close, and finds this worker idle.
+            with self._lock:
+                stay = not self._closed and len(self._idle) < self._max_idle
+                if stay:
+                    self._idle.append((inbox, worker))
+            # shutdown(SHUT_WR), then close: the client gets every byte.
+            self.shutdown_request(sock)
+            sock = inbox.get() if stay else None
+
+    def _reply(
+        self,
+        sock: socket.socket,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: Mapping[str, str] = _EMPTY_HEADERS,
+    ) -> None:
+        """Write the status line, headers and body in one ``sendmsg``.
+
+        The ``Date`` value is formatted at most once per second. A 304
+        carries headers only (RFC 9110 §15.4.5); the Content-Length
+        written is that of the (empty) body.
+        """
+        now = int(time.time())
+        second, date = self._date
+        if second != now:
+            date = formatdate(now, usegmt=True)
+            self._date = (now, date)
+        lines = [
+            _STATUS_LINES.get(status) or f"HTTP/1.0 {status} ",
+            "Server: " + _SERVER,
+            "Date: " + date,
+            "Content-Type: " + content_type,
+        ]
+        lines.extend(f"{name}: {value}" for name, value in headers.items())
+        lines.append(f"Content-Length: {len(body)}\r\n\r\n")
+        head = "\r\n".join(lines).encode("latin-1")
+        if not body or status == 304:
+            sock.sendall(head)
+            return
+        # Gathered, not joined: a joined copy of every body fragments
+        # the long-lived workers' malloc arenas (+4 MB peak RSS under
+        # the follow benchmark).
+        sent = sock.sendmsg((head, body))
+        if sent < len(head) + len(body):  # a signal cut the write short
+            sock.sendall((head + body)[sent:])
+
+    def _exchange(self, sock: socket.socket) -> None:
+        try:
+            request = _read_request(_HeadReader(sock))
+        except _Refused as refusal:
+            status = refusal.status
+            phrase = HTTPStatus(status).phrase
+            # A reply to HEAD carries no body.
+            body = b"" if refusal.head else f"{status} {phrase}\n".encode()
+            self._reply(sock, status, "text/plain; charset=utf-8", body)
+            return
+        if request is None:
+            return
+        path, headers = request
         _REQUESTS.inc()
-        telemetry = self.server.telemetry
-        path = self.path.split("?", 1)[0]
+        telemetry = self.telemetry
         telemetry._request_started()
         started = time.perf_counter()
         try:
             try:
-                response = telemetry.dispatch(path, self.headers)
+                response = telemetry.dispatch(path, headers)
             except Exception as exc:  # noqa: BLE001 - the 500 boundary
                 response = telemetry.internal_error(path, exc)
             if response.status == 404:
@@ -129,33 +379,15 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
                 response.status,
                 time.perf_counter() - started,
             )
-            self._reply(response)
+            self._reply(
+                sock,
+                response.status,
+                response.content_type,
+                response.body,
+                response.headers,
+            )
         finally:
             telemetry._request_finished()
-
-    def _reply(self, response: Response) -> None:
-        payload = response.body
-        try:
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            for name, value in response.headers.items():
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            # A 304 carries headers only (RFC 9110 §15.4.5); the
-            # Content-Length above is 0 for the empty body.
-            if payload and response.status != 304:
-                self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-write. Nothing to salvage, and
-            # it is not a server failure — don't let http.server spray
-            # a traceback from the worker thread.
-            pass
-
-
-class _TelemetryHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    telemetry: "TelemetryServer"
 
 
 class TelemetryServer:
@@ -210,7 +442,7 @@ class TelemetryServer:
         self.stalled_after_s = stalled_after_s
         self._health_monitor = health
         self._requested_port = port
-        self._server: Optional[_TelemetryHTTPServer] = None
+        self._server: Optional[_Listener] = None
         self._thread: Optional[threading.Thread] = None
         self._started_unix: Optional[float] = None
         self._stalled_reason: Optional[str] = None
@@ -227,10 +459,7 @@ class TelemetryServer:
         """Bind and serve in a daemon thread; returns the bound port."""
         if self._server is not None:
             return self.port
-        server = _TelemetryHTTPServer(
-            (self.host, self._requested_port), _TelemetryHandler
-        )
-        server.telemetry = self
+        server = _Listener(self)
         self._server = server
         self._started_unix = time.time()
         self._thread = threading.Thread(

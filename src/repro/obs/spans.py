@@ -72,6 +72,19 @@ def current_span() -> Optional["Span"]:
     return stack[-1] if stack else None
 
 
+def clear_span_stack() -> None:
+    """Drop every span still open on this thread.
+
+    A thread that runs one task after another calls this before each,
+    so a span an earlier task left open cannot parent the next task's
+    spans; each dropped entry counts one ``span.stack.mismatch``.
+    """
+    stack = _stack()
+    if stack:
+        _MISMATCH.inc(len(stack))
+        stack.clear()
+
+
 class Span:
     """One timed pipeline stage (use via :func:`span`)."""
 

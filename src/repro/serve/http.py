@@ -37,7 +37,7 @@ says (``*`` matches only a current representation, RFC 9110 §13.1.2).
 
 Per-region paths are accounted under the ``/v1/scores/:region`` route
 label (one metric series, not one per region), and every endpoint
-inherits the handler's 500-JSON error boundary, per-endpoint
+inherits the transport's 500-JSON error boundary, per-endpoint
 latency timers, and drain-aware shutdown.
 """
 

@@ -35,7 +35,10 @@ scores pass is the only sweep a generation runs: it keeps its cube and
 tensors, and a per-region read rebuilds that one region's tree from
 them, so N regions × M clients cost one tensor pass plus N one-row
 rebuilds per generation (the HTTP layer keeps each rendered region,
-so a repeat read rebuilds nothing).
+so a repeat read rebuilds nothing). A pass that raises ``DataError``
+is held as its error, so a plane that cannot be scored also costs one
+pass per generation: every read of it raises a new error with the same
+type and text until an ingest bumps the generation.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Type, Union
 
 from repro.analysis.national import NationalScore, national_score
 from repro.core.config import IQBConfig, QuantileMode
+from repro.core.exceptions import DataError
 from repro.core.kernel import ScoredCube, scored_store
 from repro.core.scoring import (
     QUANTILE_SOURCES,
@@ -73,6 +77,19 @@ class ScoresResult:
     values: Mapping[str, float]
     quantile_source: str
     scored: ScoredCube
+
+
+@dataclass(frozen=True)
+class _FailedPass:
+    """A generation whose scores pass raised: the error's type and args.
+
+    Each read at that generation raises a new error built from them;
+    re-raising one stored instance would grow its traceback per raise.
+    """
+
+    generation: int
+    error: Type[DataError]
+    args: Tuple[object, ...]
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,7 @@ class ScoringService:
         # One lock orders ingest against sweeps: a sweep holding it
         # sees either none or all of any appended batch.
         self._plane_lock = threading.Lock()
-        self._held: Optional[ScoresResult] = None
+        self._held: Union[ScoresResult, _FailedPass, None] = None
 
     # -- plane state --------------------------------------------------------
 
@@ -198,11 +215,20 @@ class ScoringService:
         lock first already did (this reader then counts
         ``serve.coalesced``). The result is stamped with the generation
         re-read under the lock, so it is only ever served for the plane
-        state it reflects.
+        state it reflects. A pass that raises ``DataError`` is held as
+        its error: every read at that generation raises the same error
+        without running the pass again, and the next ingest retries.
         """
         held = self._held
-        if held is not None and held.generation == self.generation:
-            return held
+        if held is None or held.generation != self.generation:
+            held = self._sweep()
+        if isinstance(held, _FailedPass):
+            raise held.error(*held.args)
+        return held
+
+    def _sweep(self) -> Union[ScoresResult, _FailedPass]:
+        """The current generation's pass, run under the plane lock
+        unless a reader that got the lock first already ran it."""
         with self._plane_lock:
             generation = self.generation
             held = self._held
@@ -210,14 +236,19 @@ class ScoringService:
                 _COALESCED.inc()
                 return held
             _SWEEPS.inc()
-            scored = scored_store(self._store, self._config, modes=self._modes)
-            held = ScoresResult(
+            try:
+                scored = scored_store(
+                    self._store, self._config, modes=self._modes
+                )
+            except DataError as exc:
+                self._held = _FailedPass(generation, type(exc), exc.args)
+                raise
+            held = self._held = ScoresResult(
                 generation=generation,
                 values=scored.values(),
                 quantile_source=self._source,
                 scored=scored,
             )
-            self._held = held
             return held
 
     def breakdown(self, region: str) -> Tuple[int, ScoreBreakdown]:

@@ -1,14 +1,24 @@
 """Unit tests for repro.obs.httpd (the telemetry endpoint)."""
 
 import json
+import os
+import socket
+import struct
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.core.config import paper_config
+from repro.measurements.columnar import ColumnarStore
+from repro.netsim import CampaignConfig, region_preset, simulate_region
 from repro.obs.httpd import TelemetryServer
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import REGISTRY, MetricsRegistry
+from repro.obs.spans import current_span, span
+from repro.serve import ScoringService, ServeServer
 
 
 def _get(url):
@@ -328,9 +338,357 @@ class TestLifecycle:
         server.stop()
         assert server.port == 0
 
+    def test_a_busy_port_raises(self, server, registry):
+        with pytest.raises(OSError):
+            TelemetryServer(registry=registry, port=server.port).start()
+
     def test_ephemeral_ports_are_distinct_instances(self, registry):
         with TelemetryServer(registry=registry, port=0) as a:
             with TelemetryServer(registry=registry, port=0) as b:
                 assert a.port != b.port
                 assert _get(a.url("/healthz"))[0] == 200
                 assert _get(b.url("/healthz"))[0] == 200
+
+
+# -- the transport, byte by byte ----------------------------------------------
+
+
+def _raw(port, data, shut=False):
+    """Send ``data`` on a fresh connection; everything read until EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(data)
+        if shut:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _parse(raw):
+    """(status, lower-cased headers, body) of one raw reply."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(lines[0].split()[1]), headers, body
+
+
+def _request(line, *headers):
+    return ("\r\n".join([line, *headers]) + "\r\n\r\n").encode("latin-1")
+
+
+def _service():
+    records = simulate_region(
+        region_preset("mixed-urban"),
+        seed=42,
+        config=CampaignConfig(subscribers=3, tests_per_client=3),
+    )
+    return ScoringService(ColumnarStore(list(records)), paper_config())
+
+
+@pytest.fixture()
+def service():
+    return _service()
+
+
+@pytest.fixture()
+def serve(service):
+    server = ServeServer(service, registry=MetricsRegistry(), port=0)
+    server.start()
+    yield server
+    server.stop()
+
+
+@pytest.fixture(scope="module")
+def shared():
+    """One live server for the tests that only read."""
+    server = ServeServer(_service(), registry=MetricsRegistry(), port=0)
+    server.start()
+    yield server
+    server.stop()
+
+
+#: Request heads and the status ``http.server`` gave each.
+_LONG = 65536 - len("GET / HTTP/1.0\r\n")
+CONFORMANCE = [
+    ("get", _request("GET /v1/scores HTTP/1.0"), 200),
+    ("http/1.1", _request("GET /v1/scores HTTP/1.1", "Host: x"), 200),
+    ("bare-lf", b"GET /v1/scores HTTP/1.0\nHost: x\n\n", 200),
+    ("query-ignored", _request("GET /v1/config?x=1 HTTP/1.0"), 200),
+    ("double-slash", _request("GET //v1/config HTTP/1.0"), 200),
+    ("unknown-path", _request("GET /nope HTTP/1.0"), 404),
+    ("post", _request("POST /v1/scores HTTP/1.0"), 501),
+    ("head", _request("HEAD /v1/scores HTTP/1.0"), 501),
+    ("lower-case-method", _request("get /v1/scores HTTP/1.0"), 501),
+    ("one-word", _request("GET"), 400),
+    ("four-words", _request("GET /v1/scores x HTTP/1.0"), 400),
+    ("not-http", _request("GET /v1/scores HTTX/1.0"), 400),
+    ("no-minor", _request("GET /v1/scores HTTP/1"), 400),
+    ("letter-minor", _request("GET /v1/scores HTTP/1.x"), 400),
+    ("three-parts", _request("GET /v1/scores HTTP/1.0.1"), 400),
+    ("two-word-post", _request("POST /v1/scores"), 400),
+    ("http/2", _request("GET /v1/scores HTTP/2.0"), 505),
+    ("http/3.1", _request("GET /v1/scores HTTP/3.1"), 505),
+    ("four-words-http/2", _request("GET / x HTTP/2.0"), 505),
+    ("post-many-headers", _request(
+        "POST /v1/scores HTTP/1.0", *[f"X-{i}: y" for i in range(101)]
+    ), 431),
+    ("line-at-limit", _request(f"GET /{'a' * _LONG} HTTP/1.0"), 404),
+    ("line-over-limit", _request(f"GET /{'a' * (_LONG + 1)} HTTP/1.0"), 414),
+    ("header-over-limit", _request(
+        "GET /v1/scores HTTP/1.0", "X-Long: " + "a" * 65536
+    ), 431),
+    # http.client counts the blank line that ends the head among its
+    # 100 lines, so 99 headers is the most a request may carry.
+    ("99-headers", _request(
+        "GET /v1/scores HTTP/1.0", *[f"X-{i}: y" for i in range(99)]
+    ), 200),
+    ("100-headers", _request(
+        "GET /v1/scores HTTP/1.0", *[f"X-{i}: y" for i in range(100)]
+    ), 431),
+]
+
+
+class TestTransport:
+    @pytest.mark.parametrize(
+        "data, status",
+        [case[1:] for case in CONFORMANCE],
+        ids=[case[0] for case in CONFORMANCE],
+    )
+    def test_status_matches_http_server(self, shared, data, status):
+        got, headers, body = _parse(_raw(shared.port, data))
+        assert got == status
+        assert int(headers["content-length"]) == len(body)
+        if data.startswith(b"HEAD "):
+            assert body == b""  # a reply to HEAD carries no body
+        if status == 200:
+            assert headers["content-type"].startswith("application/json")
+            assert json.loads(body)
+        if data.startswith(b"GET //v1/config") or b"?x=1" in data:
+            assert "config_sha256" in json.loads(body)
+
+    @pytest.mark.parametrize(
+        "line, extra",
+        [
+            ("GET /v1/scores HTTP/1.0", ()),
+            ("GET /v1/scores HTTP/1.1", ("Host: x", "Connection: keep-alive")),
+        ],
+        ids=["http/1.0", "http/1.1-keep-alive"],
+    )
+    def test_complete_body_then_eof(self, shared, line, extra):
+        # _raw reads to EOF: the server closes after one reply.
+        raw = _raw(shared.port, _request(line, *extra))
+        status, headers, body = _parse(raw)
+        assert status == 200
+        assert int(headers["content-length"]) == len(body) > 0
+        assert json.loads(body)["generation"] == 0
+        assert headers["server"] and headers["date"].endswith(" GMT")
+
+    def test_http_0_9_gets_a_full_reply(self, shared):
+        raw = _raw(shared.port, b"GET /v1/scores\r\n\r\n")
+        status, headers, body = _parse(raw)
+        assert status == 200
+        assert int(headers["content-length"]) == len(body)
+        assert json.loads(body)["generation"] == 0
+
+    def test_if_none_match_in_lower_case_is_304(self, shared):
+        _, headers, _ = _parse(
+            _raw(shared.port, _request("GET /v1/scores HTTP/1.0"))
+        )
+        etag = headers["etag"]
+        status, headers, body = _parse(_raw(
+            shared.port,
+            _request("GET /v1/scores HTTP/1.0", f"if-none-match: {etag}"),
+        ))
+        assert status == 304
+        assert headers["etag"] == etag
+        assert headers["content-length"] == "0" and body == b""
+
+    def test_a_connection_without_a_request_gets_nothing(self, shared):
+        requests = REGISTRY.counter("telemetry.http.requests")
+        before = requests.value, shared.request_count()
+        assert _raw(shared.port, b"", shut=True) == b""
+        assert _raw(shared.port, b"\r\n", shut=True) == b""
+        assert (requests.value, shared.request_count()) == before
+
+    def test_a_reset_client_does_not_stop_the_next_request(self, shared):
+        for _ in range(3):
+            sock = socket.create_connection(("127.0.0.1", shared.port))
+            sock.sendall(_request("GET /v1/scores HTTP/1.0"))
+            # Linger 0: close() sends RST, not FIN, with the reply unread.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+        status, _, body = _parse(
+            _raw(shared.port, _request("GET /v1/scores HTTP/1.0"))
+        )
+        assert status == 200 and json.loads(body)["generation"] == 0
+
+    def test_a_raising_dispatch_is_a_well_formed_500(
+        self, serve, service, monkeypatch
+    ):
+        def boom():
+            raise RuntimeError("plane on fire")
+
+        monkeypatch.setattr(service, "scores", boom)
+        status, headers, body = _parse(
+            _raw(serve.port, _request("GET /v1/scores HTTP/1.0"))
+        )
+        assert status == 500
+        assert int(headers["content-length"]) == len(body)
+        document = json.loads(body)
+        assert document["exception"] == "RuntimeError"
+        assert document["detail"] == "plane on fire"
+
+
+# -- handler threads ----------------------------------------------------------
+
+
+def _workers(server):
+    prefix = f"iqb-http-{server.port}-"
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+class TestWorkers:
+    def test_sequential_reads_reuse_at_most_two_workers(
+        self, serve, monkeypatch
+    ):
+        names = set()
+        dispatch = serve.dispatch
+
+        def recording(path, headers):
+            names.add(threading.current_thread().name)
+            return dispatch(path, headers)
+
+        monkeypatch.setattr(serve, "dispatch", recording)
+        for _ in range(200):
+            status, _, _ = _parse(
+                _raw(serve.port, _request("GET /v1/scores HTTP/1.0"))
+            )
+            assert status == 200
+        assert 1 <= len(names) <= 2
+        assert all(n.startswith(f"iqb-http-{serve.port}-") for n in names)
+
+    def test_held_reads_each_get_a_worker_and_idle_ones_are_capped(
+        self, serve, service, monkeypatch
+    ):
+        held = 16
+        arrived = threading.Semaphore(0)
+        release = threading.Event()
+        scores = service.scores
+
+        def held_scores():
+            arrived.release()
+            assert release.wait(timeout=10.0)
+            return scores()
+
+        monkeypatch.setattr(service, "scores", held_scores)
+        statuses = []
+
+        def read():
+            raw = _raw(serve.port, _request("GET /v1/scores HTTP/1.0"))
+            statuses.append(_parse(raw)[0])
+
+        clients = [threading.Thread(target=read) for _ in range(held)]
+        for client in clients:
+            client.start()
+        try:
+            # No held connection blocks the next: all 16 are inside
+            # dispatch at once, on 16 workers.
+            for _ in range(held):
+                assert arrived.acquire(timeout=10.0)
+            assert len(_workers(serve)) == held
+            assert serve.drain(timeout=0.1) is False
+        finally:
+            release.set()
+        for client in clients:
+            client.join(timeout=10.0)
+        assert statuses == [200] * held
+        assert serve.drain(timeout=5.0) is True
+        cap = os.cpu_count() or 1
+        deadline = time.monotonic() + 5.0
+        while len(_workers(serve)) > cap and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(_workers(serve)) <= cap
+
+    def test_concurrent_clients_under_fast_switching(self, serve):
+        # More clients than cores, switching threads every microsecond:
+        # a connection handed to a worker that was leaving would never
+        # be answered, and its client would time out.
+        results = []
+
+        def client():
+            for _ in range(25):
+                raw = _raw(serve.port, _request("GET /v1/scores HTTP/1.0"))
+                results.append(_parse(raw)[0])
+
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert results == [200] * 200
+        assert serve.request_count() == 200
+
+    def test_stop_ends_every_worker(self, service):
+        server = ServeServer(service, registry=MetricsRegistry(), port=0)
+        server.start()
+        clients = [
+            threading.Thread(
+                target=_raw,
+                args=(server.port, _request("GET /v1/scores HTTP/1.0")),
+            )
+            for _ in range(4)
+        ]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=10.0)
+        assert not any(client.is_alive() for client in clients)
+        workers = _workers(server)
+        assert workers
+        server.stop()
+        for worker in workers:
+            worker.join(timeout=5.0)
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_each_request_starts_with_an_empty_span_stack(
+        self, serve, monkeypatch
+    ):
+        seen = []
+        dispatch = serve.dispatch
+
+        def spanning(path, headers):
+            seen.append((threading.current_thread().name, current_span()))
+            if path == "/raise":
+                with span("raising"):
+                    raise RuntimeError("inside a span")
+            if path == "/leak":
+                span("leaked").__enter__()  # never exited
+            return dispatch(path, headers)
+
+        monkeypatch.setattr(serve, "dispatch", spanning)
+        for path in ("/raise", "/leak"):
+            status, _, _ = _parse(
+                _raw(serve.port, _request(f"GET {path} HTTP/1.0"))
+            )
+            assert status == (500 if path == "/raise" else 404)
+            for _ in range(10):
+                _raw(serve.port, _request("GET /v1/scores HTTP/1.0"))
+        assert len(seen) == 22
+        assert all(open_span is None for _, open_span in seen)
+        # The threads that ran /raise and /leak went on to serve reads.
+        names = [name for name, _ in seen]
+        assert names[0] in names[1:11] and names[11] in names[12:]

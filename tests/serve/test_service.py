@@ -289,11 +289,29 @@ class TestCoalescing:
         with pytest.raises(DataError) as alone:
             ScoringService(plane, strict).scores()
         service = ScoringService(plane, strict)
+        before = _sweeps()
         outcomes = _together(8, service.scores)
         assert len(outcomes) == 8
-        assert all(isinstance(o, DataError) for o in outcomes)
+        for _ in range(5):
+            with pytest.raises(DataError) as later:
+                service.scores()
+            outcomes.append(later.value)
+        # One pass for the generation, however many read it, and each
+        # read raises its own error (one re-raised instance would grow
+        # its traceback on every raise).
+        assert _sweeps() == before + 1
+        assert all(type(o) is DataError for o in outcomes)
         assert {str(o) for o in outcomes} == {str(alone.value)}
+        assert len({id(o) for o in outcomes}) == 13
         assert "strict" in str(alone.value)
+        # The next ingest retries the pass, once.
+        service.ingest(
+            [dataclasses.replace(r, packet_loss=None) for r in records[:3]]
+        )
+        for _ in range(3):
+            with pytest.raises(DataError, match="strict"):
+                service.scores()
+        assert _sweeps() == before + 2
 
 
 class TestRetention:
