@@ -18,7 +18,7 @@ from repro.analysis.tables import render_table
 from repro.core import score_region
 from repro.core.metrics import Metric
 from repro.measurements.tdigest import TDigest
-from repro.probing.sinks import TDigestSink
+from repro.probing.sinks import SketchSink
 
 REGION = "suburban-cable"
 
@@ -76,13 +76,15 @@ def test_bench_sharded_scoring(benchmark, campaigns, config):
     records = campaigns[REGION]
 
     def shard_and_score():
-        sinks = [TDigestSink() for _ in range(4)]
+        sinks = [SketchSink() for _ in range(4)]
         for i, record in enumerate(records):
             sinks[i % 4].accept(record)
         merged = sinks[0]
         for sink in sinks[1:]:
             merged = merged.merge(sink)
-        return score_region(merged.sources_for(REGION), config).value
+        return score_region(
+            merged.plane.sources_by_region()[REGION], config
+        ).value
 
     sketched = benchmark.pedantic(shard_and_score, rounds=1, iterations=1)
     exact = score_region(records.group_by_source(), config).value

@@ -4,7 +4,7 @@ The lower-level workflow behind the one-shot simulator: build a backend
 hosting vantage-point populations, generate a crowdsourced-style probe
 schedule, execute it with retries against injected transient failures,
 and deliver results simultaneously to (a) a durable JSONL archive and
-(b) an O(1)-memory streaming-quantile sink that can feed the IQB scorer
+(b) a bounded-memory t-digest sketch sink that can feed the IQB scorer
 directly — the architecture a long-running deployment would use.
 
 While the campaign runs, a :class:`~repro.obs.TelemetryServer` exposes
@@ -32,7 +32,7 @@ from repro.probing import (
     MemorySink,
     ProbeRunner,
     SimulatedBackend,
-    StreamingQuantileSink,
+    SketchSink,
 )
 from repro.netsim import region_preset
 
@@ -61,7 +61,7 @@ def main() -> None:
 
         archive = Path(tmp) / "campaign.jsonl"
         memory = MemorySink()
-        streaming = StreamingQuantileSink()
+        streaming = SketchSink()
         with JsonlSink(archive) as jsonl:
             runner = ProbeRunner(
                 backend,
@@ -96,9 +96,8 @@ def main() -> None:
             sources = records.for_region(region).group_by_source()
             print(f"  {region:12s} IQB={score_region(sources, config).value:.3f}")
 
-        print("\nScores from the streaming P2 sink (O(1) memory):")
-        for region in streaming.regions():
-            sources = streaming.sources_for(region)
+        print("\nScores from the t-digest sketch sink (bounded memory):")
+        for region, sources in streaming.plane.sources_by_region().items():
             print(f"  {region:12s} IQB={score_region(sources, config).value:.3f}")
         print(
             "\nThe two agree closely; the streaming path never stored a "

@@ -823,6 +823,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server.start()
     _TELEMETRY = server
+    stop = threading.Event()
+
+    def _request_stop(signum: int, frame: object) -> None:
+        stop.set()
+
+    # Installed before the address is announced: a client that has
+    # read it may signal at once.
+    previous_term = signal.signal(signal.SIGTERM, _request_stop)
+    previous_int = signal.signal(signal.SIGINT, _request_stop)
     # The address line goes to stderr, flushed: scripts (and the CI
     # smoke step) read the ephemeral port from it.
     print(
@@ -836,13 +845,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
         flush=True,
     )
-    stop = threading.Event()
-
-    def _request_stop(signum: int, frame: object) -> None:
-        stop.set()
-
-    previous_term = signal.signal(signal.SIGTERM, _request_stop)
-    previous_int = signal.signal(signal.SIGINT, _request_stop)
     follower = None
     if args.follow > 0:
         follower = threading.Thread(

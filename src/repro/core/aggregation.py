@@ -88,17 +88,12 @@ class QuantileSource(Protocol):
         ...
 
 
-#: Below this many values the pure-Python interpolation beats the cost of
-#: building a numpy array and dispatching ``np.percentile``.
-_SMALL_N = 8
-
-
 def _interpolate_sorted(values: Sequence[float], percentile: float) -> float:
     """Linear interpolation over an already-sorted sequence.
 
     Replicates ``np.percentile``'s "linear" method bit-for-bit, including
-    its ``t >= 0.5`` lerp branch, so callers holding pre-sorted data get
-    answers identical to the numpy path.
+    its ``t >= 0.5`` lerp branch; the tests hold it to ``np.percentile``
+    as their oracle.
     """
     n = len(values)
     pos = (percentile / 100.0) * (n - 1)
@@ -119,9 +114,11 @@ def percentile_of(
 ) -> float:
     """Linear-interpolation percentile of a non-empty value sequence.
 
-    This is the single percentile definition used across the project, so
-    exact collections, the streaming estimator's tests, and the scorer
-    all agree on interpolation behaviour.
+    This is the single percentile definition used across the project:
+    unsorted input is sorted with ``np.sort`` and interpolated by
+    :func:`_interpolate_sorted`, so exact collections, aggregate
+    publication and the scorer all agree on interpolation behaviour,
+    whatever numpy is installed.
 
     Args:
         values: observations; any sequence (list, tuple, numpy array).
@@ -139,11 +136,9 @@ def percentile_of(
         raise AggregationError("cannot take a percentile of no values")
     if not 0.0 <= percentile <= 100.0:
         raise AggregationError(f"percentile out of [0, 100]: {percentile!r}")
-    if assume_sorted:
-        return _interpolate_sorted(values, percentile)
-    if len(values) <= _SMALL_N:
-        return _interpolate_sorted(sorted(values), percentile)
-    return float(np.percentile(np.asarray(values, dtype=float), percentile))
+    if not assume_sorted:
+        values = np.sort(np.asarray(values, dtype=np.float64))
+    return _interpolate_sorted(values, percentile)
 
 
 def aggregate_metric(

@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Tuple, Union
 import numpy as np
 
 from repro.measurements.collection import MeasurementSet
+from repro.measurements.columnar import ColumnarView
 
 from .aggregation import QuantileSource
 from .config import IQBConfig
@@ -62,10 +63,12 @@ class BootstrapResult:
         return hi - lo
 
 
-def _resample(records: MeasurementSet, rng: np.random.Generator) -> MeasurementSet:
-    n = len(records)
-    indices = rng.integers(0, n, size=n)
-    return MeasurementSet(records[int(i)] for i in indices)
+def _resample(
+    source: MeasurementSet, rng: np.random.Generator
+) -> ColumnarView:
+    """One replicate: rows of ``source``'s store drawn with replacement."""
+    n = len(source)
+    return ColumnarView(source.columnar(), rng.integers(0, n, size=n))
 
 
 def bootstrap_score(
@@ -124,9 +127,8 @@ def sample_size_curve(
                 subsampled[name] = records
             else:
                 indices = rng.choice(len(records), size=size, replace=False)
-                subsampled[name] = MeasurementSet(
-                    records[int(i)] for i in sorted(indices)
-                )
+                indices.sort()
+                subsampled[name] = records._select(indices)
         out[size] = bootstrap_score(
             subsampled, config, replicates=replicates, seed=seed + size
         )

@@ -29,7 +29,6 @@ from .io import (
     write_csv,
     write_jsonl,
 )
-from .quantile import ExactQuantiles, P2Quantile
 from .sketchplane import SketchPlane, SketchView, sketch_records
 from .tdigest import TDigest
 from .record import Measurement
@@ -50,12 +49,10 @@ __all__ = [
     "ColumnarStore",
     "ColumnarView",
     "DEFAULT_PUBLISHED_PERCENTILES",
-    "ExactQuantiles",
     "IngestStats",
     "Measurement",
     "MeasurementSet",
     "MetricAggregate",
-    "P2Quantile",
     "PEAK_END_HOUR",
     "PEAK_START_HOUR",
     "SketchPlane",

@@ -176,23 +176,19 @@ def aggregate_measurements(
         SchemaError: when the records contain none of the requested
             metrics for the region.
     """
-    import numpy as np
-
     subset = records.for_region(region).for_source(source)
     wanted = tuple(metrics) if metrics is not None else Metric.ordered()
     table: Dict[Metric, MetricAggregate] = {}
     for metric in wanted:
-        values = subset.values(metric)
-        if not values:
+        count = subset.sample_count(metric)
+        if not count:
             continue
-        # Sort once per metric; every knot interpolates off the same array.
-        ordered = np.asarray(values, dtype=np.float64)
-        ordered.sort()
+        # The subset's store sorts once per metric; every knot
+        # interpolates off the same sorted column.
         knots = tuple(
-            (float(p), _percentile(ordered, p, assume_sorted=True))
-            for p in sorted(percentiles)
+            (float(p), subset.quantile(metric, p)) for p in sorted(percentiles)
         )
-        table[metric] = MetricAggregate(knots=knots, count=len(values))
+        table[metric] = MetricAggregate(knots=knots, count=count)
     if not table:
         raise SchemaError(
             f"no records for region={region!r} source={source!r} "
@@ -200,10 +196,3 @@ def aggregate_measurements(
         )
     return AggregateTable(region=region, source=source, metrics=table)
 
-
-def _percentile(
-    values: Sequence[float], percentile: float, assume_sorted: bool = False
-) -> float:
-    from repro.core.aggregation import percentile_of
-
-    return percentile_of(values, percentile, assume_sorted=assume_sorted)

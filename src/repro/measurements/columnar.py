@@ -35,11 +35,14 @@ cell's percentile is computed in one vectorized pass with exactly the
 :func:`~repro.core.aggregation._interpolate_sorted` arithmetic.
 
 Numerical contract: every quantile a view answers — and every cell of
-the aggregate cube — is bit-identical to ``MeasurementSet.quantile``
-over the same records (all reduce to the single
-:func:`~repro.core.aggregation.percentile_of` definition), which is
-what lets :func:`repro.core.scoring.score_regions` swap in for the
-per-region re-group loop without changing a single ScoreBreakdown.
+the aggregate cube — is bit-identical to
+:func:`~repro.core.aggregation.percentile_of` over the same values
+(the single percentile definition), which is what lets
+:func:`repro.core.scoring.score_regions` swap in for the per-region
+re-group loop without changing a single ScoreBreakdown.
+:class:`~.collection.MeasurementSet` answers every query from a store;
+a subset that needs a store of its own selects its rows
+(:meth:`ColumnarStore.select`).
 
 The exact plane is incremental: :meth:`ColumnarStore.append` merges
 each batch into whatever the store has already built — columns, key
@@ -198,8 +201,8 @@ def as_batch(records: object) -> ColumnBatch:
     """``records`` as columns, transposing only when nothing holds them.
 
     A :class:`ColumnBatch` is returned as-is, a :class:`ColumnarStore`
-    (or a store-backed ``MeasurementSet``) as its native columns; any
-    other iterable of records is transposed once.
+    as its native columns and a ``MeasurementSet`` as the columns of
+    its store; any other iterable of records is transposed once.
     """
     if isinstance(records, ColumnBatch):
         return records
@@ -208,9 +211,7 @@ def as_batch(records: object) -> ColumnBatch:
     from .collection import MeasurementSet
 
     if isinstance(records, MeasurementSet):
-        store = records.columnar()
-        if store is not None:
-            return store.columns()
+        return records.columnar().columns()
     if not isinstance(records, list):
         records = list(records)  # type: ignore[call-overload]
     return ColumnBatch.from_records(records)
@@ -224,6 +225,19 @@ def intern(values: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
         map(lookup.__getitem__, values), dtype=np.int32, count=len(values)
     )
     return codes, keys
+
+
+def _reintern(
+    codes: np.ndarray, keys: Sequence[str]
+) -> Tuple[np.ndarray, List[str]]:
+    """``codes`` renumbered over the keys they use, in first-seen order."""
+    used, firsts, inverse = np.unique(
+        codes, return_index=True, return_inverse=True
+    )
+    order = np.argsort(firsts)
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    return rank[inverse], [keys[code] for code in used[order].tolist()]
 
 
 def _add_keys(
@@ -565,16 +579,15 @@ class ColumnarStore:
     ) -> "ColumnarStore":
         """A store over any record iterable (incl. MeasurementSet).
 
-        A ``MeasurementSet`` that wraps a store (as the readers in
-        :mod:`.io` return) hands back that store itself, so its rows
-        are never turned into records and transposed again.
+        A ``MeasurementSet`` hands back the store its queries read (for
+        a set the readers in :mod:`.io` return, the store they decoded
+        into), so its rows are never turned into records and
+        transposed again.
         """
         from .collection import MeasurementSet
 
         if isinstance(records, MeasurementSet):
-            store = records.columnar()
-            if store is not None:
-                return store
+            return records.columnar()
         return cls(list(records))
 
     def __len__(self) -> int:
@@ -646,6 +659,38 @@ class ColumnarStore:
                 map(dict, self._joined_meta()[start:stop]),
             )
         )
+
+    def select(self, rows: np.ndarray) -> "ColumnarStore":
+        """A new store of this store's ``rows``, in the order given.
+
+        Each key table is re-interned over the keys the rows use, in
+        first-seen order, so the new store groups and lists keys as a
+        store built from those rows' records would. Records already
+        built for every row carry over as the new store's record cache.
+        """
+        rows_list = rows.tolist()
+        codes: Dict[str, np.ndarray] = {}
+        keys: Dict[str, List[str]] = {}
+        for axis in KEY_AXES:
+            codes[axis], keys[axis] = _reintern(
+                self._codes[axis][rows], self._keys[axis]
+            )
+        store = ColumnarStore(
+            ColumnBatch(
+                values={
+                    metric: column[rows]
+                    for metric, column in self._columns.items()
+                },
+                timestamp=self._timestamp[rows],
+                codes=codes,
+                keys=keys,
+                meta=list(map(self._joined_meta().__getitem__, rows_list)),
+            )
+        )
+        records = self._records
+        if records is not None and len(records) == len(self):
+            store._records = list(map(records.__getitem__, rows_list))
+        return store
 
     # -- streaming ingest --------------------------------------------------
 

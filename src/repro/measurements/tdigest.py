@@ -1,12 +1,10 @@
 """A merging t-digest for distributed quantile collection.
 
-The P² estimator (:mod:`.quantile`) is O(1) per tracked quantile but
-has a hard limitation for real deployments: two P² states cannot be
-combined, so a fleet of collectors (M-Lab runs hundreds of sites)
-cannot shard the work. The t-digest (Dunning & Ertl) can: centroids are
-mergeable, accuracy concentrates at the tails — exactly where the IQB's
-95th-percentile rule lives — and memory stays bounded by the
-compression parameter.
+A fleet of collectors (M-Lab runs hundreds of sites) shards the work,
+so its quantile state must combine. The t-digest (Dunning & Ertl) does:
+centroids are mergeable, accuracy concentrates at the tails — exactly
+where the IQB's 95th-percentile rule lives — and memory stays bounded
+by the compression parameter.
 
 This is the *merging* variant: incoming values buffer and periodically
 merge into the centroid list under a size bound of

@@ -54,6 +54,7 @@ import json
 import os
 import queue
 import re
+import selectors
 import socket
 import socketserver
 import sys
@@ -233,17 +234,24 @@ def _read_request(reader: _HeadReader) -> Optional[Tuple[str, _Headers]]:
     return path.split("?", 1)[0], headers
 
 
+#: What ``socketserver`` waits with: poll(2) where the platform has it.
+_Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
+
+
 class _Listener(socketserver.TCPServer):
     """The bound socket and the daemon threads that answer it.
 
-    ``socketserver`` binds, accepts and shuts down; a connection never
-    reaches its handler class. Each accepted connection goes to an idle
-    worker thread, or to a new one when none is idle, so a held
-    connection never blocks the next. A worker reads one request,
-    answers it in HTTP/1.0 and closes the connection, then waits for
-    the next one, unless ``os.cpu_count()`` workers already wait: then
-    it exits. :meth:`server_close` ends the waiting workers; a busy one
-    exits after its connection.
+    ``socketserver`` binds and accepts; a connection never reaches its
+    handler class. The accept loop (:meth:`serve_forever`) waits, with
+    no timeout, on the listening socket and on one end of a socket
+    pair; :meth:`shutdown` writes a byte to the other end, so it
+    returns at once and an idle server pays no wake-ups. Each accepted
+    connection goes to an idle worker thread, or to a new one when
+    none is idle, so a held connection never blocks the next. A worker
+    reads one request, answers it in HTTP/1.0 and closes the
+    connection, then waits for the next one, unless ``os.cpu_count()``
+    workers already wait: then it exits. :meth:`server_close` ends the
+    waiting workers; a busy one exits after its connection.
     """
 
     allow_reuse_address = True
@@ -257,11 +265,35 @@ class _Listener(socketserver.TCPServer):
         self._started = 0
         self._closed = False
         self._date = (0, "")  # (unix second, Date header value)
+        self._wake, self._waker = socket.socketpair()
+        self._stopped = threading.Event()
         # Binds and listens; a failed bind calls server_close().
         super().__init__(
             (telemetry.host, telemetry._requested_port),
             socketserver.BaseRequestHandler,
         )
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Accept connections until :meth:`shutdown`.
+
+        ``poll_interval`` is unused: the loop never polls.
+        """
+        try:
+            with _Selector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake, selectors.EVENT_READ)
+                while True:
+                    ready = selector.select()
+                    if any(key.fileobj is self._wake for key, _ in ready):
+                        return
+                    self._handle_request_noblock()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Wake the accept loop and wait until it has returned."""
+        self._waker.send(b"\0")
+        self._stopped.wait()
 
     def process_request(
         self, request: socket.socket, client_address: object
@@ -279,6 +311,8 @@ class _Listener(socketserver.TCPServer):
 
     def server_close(self) -> None:
         super().server_close()
+        self._wake.close()
+        self._waker.close()
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []

@@ -16,8 +16,6 @@ from .sinks import (
     MemorySink,
     ResultSink,
     SketchSink,
-    StreamingQuantileSink,
-    TDigestSink,
 )
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "RunReport",
     "SimulatedBackend",
     "SketchSink",
-    "StreamingQuantileSink",
-    "TDigestSink",
     "UniformSchedule",
     "uniform_campaign",
 ]

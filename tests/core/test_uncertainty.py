@@ -1,9 +1,94 @@
 """Unit tests for repro.core.uncertainty (bootstrap)."""
 
+import numpy as np
 import pytest
 
 from repro.core.aggregation import SequenceSource
-from repro.core.uncertainty import bootstrap_score, sample_size_curve
+from repro.core.scoring import score_region
+from repro.core.uncertainty import (
+    BootstrapResult,
+    bootstrap_score,
+    sample_size_curve,
+)
+from repro.measurements import MeasurementSet, read_jsonl, write_jsonl
+
+
+# -- oracle: the bootstrap over records ---------------------------------------
+#
+# Each replicate is a new MeasurementSet of the drawn records, and each
+# subsample a set of the chosen records. The production bootstrap draws
+# the same indexes and resamples rows of the set's store instead.
+
+
+def _record_resample(records, rng):
+    n = len(records)
+    indices = rng.integers(0, n, size=n)
+    return MeasurementSet(records[int(i)] for i in indices)
+
+
+def _record_bootstrap(sources, config, replicates, seed):
+    point = score_region(sources, config).value
+    rng = np.random.default_rng(seed)
+    scores = []
+    for _ in range(replicates):
+        resampled = {}
+        for name, source in sources.items():
+            if isinstance(source, MeasurementSet) and len(source) > 0:
+                resampled[name] = _record_resample(source, rng)
+            else:
+                resampled[name] = source
+        scores.append(score_region(resampled, config).value)
+    return BootstrapResult(point_estimate=point, scores=tuple(scores))
+
+
+def _record_sample_size_curve(sources, config, sizes, replicates, seed):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for size in sizes:
+        subsampled = {}
+        for name, records in sources.items():
+            if len(records) <= size:
+                subsampled[name] = records
+            else:
+                indices = rng.choice(len(records), size=size, replace=False)
+                subsampled[name] = MeasurementSet(
+                    records[int(i)] for i in sorted(indices)
+                )
+        out[size] = _record_bootstrap(
+            subsampled, config, replicates=replicates, seed=seed + size
+        )
+    return out
+
+
+class TestRowResamplingEqualsRecordResampling:
+    """Resampling store rows gives the record bootstrap bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_bootstrap_score(self, dsl_sources, config, seed):
+        mixed = dict(dsl_sources)
+        mixed["extra"] = SequenceSource(download_mbps=[40.0, 60.0, 80.0])
+        assert bootstrap_score(
+            mixed, config, replicates=40, seed=seed
+        ) == _record_bootstrap(mixed, config, replicates=40, seed=seed)
+
+    def test_bootstrap_score_on_sets_read_from_a_file(
+        self, small_campaign, config, tmp_path
+    ):
+        path = tmp_path / "campaign.jsonl"
+        write_jsonl(small_campaign, path)
+        sources = read_jsonl(path).for_region("rural-dsl").group_by_source()
+        assert bootstrap_score(
+            sources, config, replicates=40, seed=5
+        ) == _record_bootstrap(sources, config, replicates=40, seed=5)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_sample_size_curve(self, fiber_sources, config, seed):
+        sizes = (10, 40, 10_000)
+        assert sample_size_curve(
+            fiber_sources, config, sizes=sizes, replicates=15, seed=seed
+        ) == _record_sample_size_curve(
+            fiber_sources, config, sizes=sizes, replicates=15, seed=seed
+        )
 
 
 class TestBootstrapScore:

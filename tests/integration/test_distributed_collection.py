@@ -11,7 +11,7 @@ import pytest
 from repro.core import paper_config, score_region
 from repro.core.metrics import Metric
 from repro.netsim import CampaignConfig, region_preset, simulate_region
-from repro.probing.sinks import TDigestSink
+from repro.probing.sinks import SketchSink
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def campaign():
 
 class TestShardedCollection:
     def shard(self, records, shards=4):
-        sinks = [TDigestSink() for _ in range(shards)]
+        sinks = [SketchSink() for _ in range(shards)]
         for i, record in enumerate(records):
             sinks[i % shards].accept(record)
         return sinks
@@ -32,11 +32,11 @@ class TestShardedCollection:
         merged = sinks[0]
         for sink in sinks[1:]:
             merged = merged.merge(sink)
-        assert merged.accepted == len(campaign)
+        assert len(merged) == len(campaign)
 
         exact = score_region(campaign.group_by_source(), config).value
         sketched = score_region(
-            merged.sources_for("suburban-cable"), config
+            merged.plane.sources_by_region()["suburban-cable"], config
         ).value
         # Binary thresholding amplifies tiny quantile errors only when
         # an aggregate sits exactly on a bar; allow one verdict of slack.
@@ -47,7 +47,7 @@ class TestShardedCollection:
         merged = sinks[0]
         for sink in sinks[1:]:
             merged = merged.merge(sink)
-        view = merged.sources_for("suburban-cable")["ndt"]
+        view = merged.plane.sources_by_region()["suburban-cable"]["ndt"]
         exact_source = campaign.for_source("ndt")
         for metric in (Metric.DOWNLOAD, Metric.LATENCY):
             exact = exact_source.quantile(metric, 95.0)
@@ -56,26 +56,26 @@ class TestShardedCollection:
 
     def test_shards_unchanged_by_merge(self, campaign):
         sinks = self.shard(campaign, shards=2)
-        before = sinks[0].accepted
+        before = sinks[0].state_dict()
         sinks[0].merge(sinks[1])
-        assert sinks[0].accepted == before
+        assert sinks[0].state_dict() == before
 
     def test_single_shard_equals_unsharded(self, campaign, config):
-        whole = TDigestSink()
+        whole = SketchSink()
         for record in campaign:
             whole.accept(record)
         sharded = self.shard(campaign, shards=1)[0]
         whole_score = score_region(
-            whole.sources_for("suburban-cable"), config
+            whole.plane.sources_by_region()["suburban-cable"], config
         ).value
         shard_score = score_region(
-            sharded.sources_for("suburban-cable"), config
+            sharded.plane.sources_by_region()["suburban-cable"], config
         ).value
         assert whole_score == pytest.approx(shard_score)
 
     def test_missing_metric_stays_missing_through_merge(self, campaign):
         sinks = self.shard(campaign)
         merged = sinks[0].merge(sinks[1])
-        ookla = merged.sources_for("suburban-cable")["ookla"]
+        ookla = merged.plane.sources_by_region()["suburban-cable"]["ookla"]
         assert ookla.quantile(Metric.PACKET_LOSS, 95.0) is None
         assert ookla.sample_count(Metric.PACKET_LOSS) == 0

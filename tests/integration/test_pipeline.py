@@ -12,7 +12,7 @@ from repro.probing import (
     MemorySink,
     ProbeRunner,
     SimulatedBackend,
-    StreamingQuantileSink,
+    SketchSink,
 )
 
 CAMPAIGN = CampaignConfig(subscribers=30, tests_per_client=150)
@@ -72,7 +72,7 @@ class TestProbingToScore:
             failure_rate=0.05,
         )
         memory = MemorySink()
-        streaming = StreamingQuantileSink()
+        streaming = SketchSink()
         runner = ProbeRunner(backend, FanOutSink(memory, streaming), max_attempts=4)
         schedule = DiurnalSchedule(
             regions=regions,
@@ -89,7 +89,9 @@ class TestProbingToScore:
             exact = score_region(
                 records.for_region(region).group_by_source(), config
             ).value
-            streamed = score_region(streaming.sources_for(region), config).value
+            streamed = score_region(
+                streaming.plane.sources_by_region()[region], config
+            ).value
             assert streamed == pytest.approx(exact, abs=0.15)
 
 

@@ -100,3 +100,17 @@ def test_records_are_built_when_asked(campaign_file, built):
     assert built[0] == len(records)
     assert list(loaded) == list(records)
     assert built[0] == len(records)
+
+
+def test_grouping_a_read_set_builds_no_records(campaign_file, built):
+    from repro.core.metrics import Metric
+    from repro.core.scoring import score_region
+
+    loaded = read_jsonl(campaign_file)
+    config = paper_config()
+    for region, regional in loaded.group_by_region().items():
+        assert score_region(regional.group_by_source(), config).value >= 0.0
+        assert loaded.for_region(region).for_isp("").summary() is not None
+    assert loaded.between(0.0, 1e12).quantile(Metric.LATENCY, 95.0) > 0.0
+    assert loaded.sources() and loaded.regions() and loaded.isps() is not None
+    assert built[0] == 0

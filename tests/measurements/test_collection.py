@@ -1,9 +1,15 @@
 """Unit tests for repro.measurements.collection."""
 
-import pytest
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.aggregation import _interpolate_sorted
 from repro.core.metrics import Metric
 from repro.measurements.collection import MeasurementSet
+from repro.measurements.io import read_jsonl, write_jsonl
 from repro.measurements.record import Measurement
 
 
@@ -117,23 +123,39 @@ class TestSummaries:
         assert digest["latency_ms"]["p95"] == 25.0
 
 
-class TestMutationInvalidation:
-    """add/extend/__add__ must never serve stale cached answers."""
+class TestOneStore:
+    def test_set_is_immutable(self, records):
+        assert not hasattr(records, "add")
+        assert not hasattr(records, "extend")
 
-    def test_add_refreshes_quantile(self, records):
-        assert records.quantile(Metric.DOWNLOAD, 100.0) == 40.0
-        records.add(rec(region="r1", source="ndt", ts=99.0,
-                        download_mbps=400.0))
-        assert records.quantile(Metric.DOWNLOAD, 100.0) == 400.0
-        assert records.sample_count(Metric.DOWNLOAD) == 5
+    def test_queries_read_one_store_built_once(self, records):
+        store = records.columnar()
+        assert store is records.columnar()
+        assert list(store.records()) == list(records)
+        records.quantile(Metric.DOWNLOAD, 95.0)
+        assert records.columnar() is store
 
-    def test_extend_refreshes_groups_and_values(self, records):
-        assert records.regions() == ("r1", "r2")
-        records.extend(
-            [rec(region="r3", source="ndt", ts=99.0, download_mbps=5.0)]
+    def test_subsets_are_stores_of_their_rows(self, records):
+        subset = records.for_region("r2")
+        assert len(subset.columnar()) == 2
+        assert subset.sources() == ("cloudflare", "ndt")
+        assert subset.for_isp("ispB").values(Metric.DOWNLOAD) == [30.0]
+
+    def test_a_set_keeps_its_rows_after_its_store_grows(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_jsonl(
+            MeasurementSet([rec(ts=1.0, download_mbps=10.0)]), path
         )
-        assert records.regions() == ("r1", "r2", "r3")
-        assert 5.0 in records.values(Metric.DOWNLOAD)
+        loaded = read_jsonl(path)
+        loaded.columnar().append([rec(ts=2.0, download_mbps=20.0)])
+        store = loaded.columnar()
+        assert len(store) == len(loaded) == 1
+        assert loaded.values(Metric.DOWNLOAD) == [10.0]
+        assert [r.timestamp for r in loaded] == [1.0]
+
+
+class TestMutationInvalidation:
+    """__add__ must never serve stale cached answers."""
 
     def test_dunder_add_result_sees_both_sides(self, records):
         other = MeasurementSet(
@@ -143,13 +165,6 @@ class TestMutationInvalidation:
         combined = records + other
         assert combined.quantile(Metric.DOWNLOAD, 100.0) == 90.0
         assert combined.regions() == ("r1", "r2", "r9")
-
-    def test_mutating_a_group_subset_leaves_parent_intact(self, records):
-        subset = records.for_region("r1")
-        subset.add(rec(region="r1", source="ndt", ts=98.0))
-        assert len(subset) == 3
-        assert len(records.for_region("r1")) == 2
-        assert len(records) == 4
 
 
 class TestSharedFastPaths:
@@ -161,12 +176,6 @@ class TestSharedFastPaths:
     def test_add_empty_left_shares_records(self, records):
         combined = MeasurementSet() + records
         assert combined._records is records._records
-
-    def test_shared_result_copies_on_write(self, records):
-        combined = records + MeasurementSet()
-        combined.add(rec(region="r5", source="ndt", ts=77.0))
-        assert len(combined) == 5
-        assert len(records) == 4
 
     def test_filter_on_empty_returns_self(self):
         empty = MeasurementSet()
@@ -180,3 +189,130 @@ class TestSharedFastPaths:
         assert records.for_region("r1") is records.for_region("r1")
         assert records.for_source("ndt") is records.for_source("ndt")
         assert records.for_isp("ispA") is records.for_isp("ispA")
+
+
+# -- differential: record-built and file-read sets vs a per-record oracle -----
+
+_METRIC_VALUES = st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.0, 7.25, 30.0]))
+
+
+@st.composite
+def _records(draw):
+    out = []
+    for i in range(draw(st.integers(0, 30))):
+        values = draw(st.tuples(*[_METRIC_VALUES] * 4))
+        if all(value is None for value in values):
+            values = (1.0,) + values[1:]
+        download, upload, latency, loss = values
+        out.append(
+            Measurement(
+                region=draw(st.sampled_from(["r2", "r1", "r3"])),
+                source=draw(st.sampled_from(["ookla", "ndt", "cloudflare"])),
+                timestamp=draw(st.sampled_from([0.0, 5.0, 10.0, 15.5, 20.0])),
+                download_mbps=download,
+                upload_mbps=upload,
+                latency_ms=latency,
+                packet_loss=None if loss is None else loss / 100.0,
+                isp=draw(st.sampled_from(["", "ispA", "ispB"])),
+                access_tech=draw(st.sampled_from(["", "fiber"])),
+                meta={"i": i} if i % 3 == 0 else {},
+            )
+        )
+    return out
+
+
+def _oracle_values(records, metric):
+    return [
+        getattr(r, metric.field_name)
+        for r in records
+        if getattr(r, metric.field_name) is not None
+    ]
+
+
+def _oracle_quantile(records, metric, percentile):
+    values = _oracle_values(records, metric)
+    if not values:
+        return None
+    return _interpolate_sorted(sorted(values), percentile)
+
+
+def _oracle_groups(records, axis):
+    groups = {}
+    for record in records:
+        groups.setdefault(getattr(record, axis), []).append(record)
+    return groups
+
+
+def _assert_matches(subset, records):
+    """Every read of ``subset`` equals the per-record oracle."""
+    assert len(subset) == len(records)
+    assert list(subset) == records
+    assert subset.regions() == tuple(sorted({r.region for r in records}))
+    assert subset.sources() == tuple(sorted({r.source for r in records}))
+    assert subset.isps() == tuple(sorted({r.isp for r in records} - {""}))
+    store = subset.columnar()
+    assert len(store) == len(records)
+    assert list(store.records()) == records
+    digest = {}
+    for metric in Metric:
+        values = _oracle_values(records, metric)
+        assert subset.values(metric) == values
+        assert subset.sample_count(metric) == len(values)
+        for percentile in (0.0, 5.0, 50.0, 95.0, 100.0):
+            assert subset.quantile(metric, percentile) == _oracle_quantile(
+                records, metric, percentile
+            )
+        if values:
+            digest[metric.value] = {
+                "count": float(len(values)),
+                "mean": sum(values) / len(values),
+                "median": _oracle_quantile(records, metric, 50.0),
+                "p95": _oracle_quantile(records, metric, 95.0),
+            }
+    assert subset.summary() == digest
+
+
+class TestStoreReadsEqualRecordOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=_records(),
+        window=st.tuples(
+            st.sampled_from([0.0, 5.0, 12.0, 15.5]),
+            st.sampled_from([5.0, 15.5, 20.0, 99.0]),
+        ),
+    )
+    def test_record_built_and_file_read_sets(self, records, window):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.jsonl"
+            write_jsonl(MeasurementSet(records), path)
+            loaded = read_jsonl(path)
+        for whole in (MeasurementSet(records), loaded):
+            _assert_matches(whole, records)
+            for axis, groups in (
+                ("region", whole.group_by_region()),
+                ("source", whole.group_by_source()),
+            ):
+                expected = _oracle_groups(records, axis)
+                assert list(groups) == list(expected)
+                for key, subset in groups.items():
+                    _assert_matches(subset, expected[key])
+                    assert list(subset.group_by_source()) == list(
+                        _oracle_groups(expected[key], "source")
+                    )
+            for region, in_region in _oracle_groups(records, "region").items():
+                for source, cell in _oracle_groups(in_region, "source").items():
+                    _assert_matches(
+                        whole.for_region(region).for_source(source), cell
+                    )
+            _assert_matches(whole.for_region("absent"), [])
+            _assert_matches(
+                whole.for_isp(""), [r for r in records if r.isp == ""]
+            )
+            _assert_matches(
+                whole.for_isp("ispB"), [r for r in records if r.isp == "ispB"]
+            )
+            start, end = window
+            _assert_matches(
+                whole.between(start, end),
+                [r for r in records if start <= r.timestamp < end],
+            )

@@ -119,6 +119,36 @@ class TestViews:
         assert (Metric.DOWNLOAD, 95.0) in view._quantiles
 
 
+class TestSelect:
+    def test_keys_reinterned_in_first_seen_order(self, store, records):
+        picked = store.select(np.array([3, 2, 0], dtype=np.intp))
+        assert len(picked) == 3
+        assert picked.regions() == ("r1", "r2")
+        assert picked.sources() == ("cloudflare", "ndt")
+        assert list(picked.index("region")) == ["r2", "r1"]
+        assert list(picked.index("source")) == ["cloudflare", "ndt"]
+        assert picked.columns().keys["isp"] == ["ispA", "ispB"]
+        assert picked.column(Metric.DOWNLOAD).tolist() == [40.0, 30.0, 10.0]
+        assert list(picked.records()) == [records[3], records[2], records[0]]
+
+    def test_records_built_for_the_parent_carry_over(self, store):
+        built = store.records()
+        picked = store.select(np.array([4, 1], dtype=np.intp))
+        assert picked.records()[0] is built[4]
+        assert picked.records()[1] is built[1]
+
+    def test_empty_selection(self, store):
+        picked = store.select(np.empty(0, dtype=np.intp))
+        assert len(picked) == 0
+        assert picked.regions() == ()
+        assert picked.quantile(Metric.DOWNLOAD, 95.0) is None
+
+    def test_parent_is_untouched(self, store, records):
+        store.select(np.array([1], dtype=np.intp))
+        assert store.regions() == ("r1", "r2")
+        assert list(store.records()) == records
+
+
 class TestEqualityWithRowPlane:
     """Columnar answers must be bit-identical to MeasurementSet's."""
 

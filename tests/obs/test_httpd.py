@@ -338,6 +338,17 @@ class TestLifecycle:
         server.stop()
         assert server.port == 0
 
+    def test_stop_on_an_idle_server_returns_at_once(self, registry):
+        server = TelemetryServer(registry=registry, port=0)
+        port = server.start()
+        assert _get(server.url("/healthz"))[0] == 200
+        time.sleep(0.05)  # let the accept loop go idle
+        began = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - began < 0.05
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=1.0)
+
     def test_a_busy_port_raises(self, server, registry):
         with pytest.raises(OSError):
             TelemetryServer(registry=registry, port=server.port).start()

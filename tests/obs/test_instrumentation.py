@@ -67,18 +67,6 @@ class TestQuantileCacheCounters:
             sources = records.for_region(region).group_by_source()
             assert score_region(sources, config).to_dict() == breakdown.to_dict()
 
-    def test_rowset_quantiles_report_hits_and_misses(self, records):
-        from repro.core.metrics import Metric
-
-        subset = records.for_region("east")
-        hits0 = _counter("quantile_cache.rowset.hits")
-        misses0 = _counter("quantile_cache.rowset.misses")
-        first = subset.quantile(Metric.DOWNLOAD, 95.0)
-        second = subset.quantile(Metric.DOWNLOAD, 95.0)
-        assert first == second
-        assert _counter("quantile_cache.rowset.misses") - misses0 == 1
-        assert _counter("quantile_cache.rowset.hits") - hits0 == 1
-
 
 class FlakyBackend:
     """Fails the first ``failures`` attempts of every probe."""

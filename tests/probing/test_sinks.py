@@ -9,7 +9,7 @@ from repro.probing.sinks import (
     FanOutSink,
     JsonlSink,
     MemorySink,
-    StreamingQuantileSink,
+    SketchSink,
 )
 
 
@@ -63,42 +63,6 @@ class TestJsonlSink:
         sink.accept(record(0))
         sink.close()
         sink.close()
-
-
-class TestStreamingQuantileSink:
-    def test_tracks_quantiles_per_region_source(self):
-        sink = StreamingQuantileSink()
-        for i in range(200):
-            sink.accept(record(i, region="a", source="ndt"))
-            sink.accept(record(i + 1000, region="b", source="ookla"))
-        assert sink.accepted == 400
-        assert sink.regions() == ("a", "b")
-        sources = sink.sources_for("a")
-        assert set(sources) == {"ndt"}
-        view = sources["ndt"]
-        # download values in region a are 1..200: p95 ≈ 190.
-        assert view.quantile(Metric.DOWNLOAD, 95.0) == pytest.approx(190.0, abs=8.0)
-        assert view.sample_count(Metric.DOWNLOAD) == 200
-
-    def test_untracked_percentile_returns_none(self):
-        sink = StreamingQuantileSink(percentiles=(95.0,))
-        for i in range(50):
-            sink.accept(record(i))
-        view = sink.sources_for("r")["ndt"]
-        assert view.quantile(Metric.DOWNLOAD, 42.0) is None
-
-    def test_unobserved_metric_returns_none(self):
-        sink = StreamingQuantileSink()
-        sink.accept(record(0))
-        view = sink.sources_for("r")["ndt"]
-        assert view.quantile(Metric.PACKET_LOSS, 95.0) is None
-        assert view.sample_count(Metric.PACKET_LOSS) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StreamingQuantileSink(percentiles=())
-        with pytest.raises(ValueError):
-            StreamingQuantileSink(percentiles=(0.0,))
 
 
 class TestFanOutSink:
@@ -239,3 +203,26 @@ class TestSketchSink:
         assert sink.score_all(config, quantiles="exact") == sink.score_all(
             config
         )
+
+    def test_merge_combines_shards_and_leaves_them_unchanged(self):
+        shards = [SketchSink(), SketchSink()]
+        for i in range(40):
+            shards[i % 2].accept(
+                self._measure(i, source="ndt" if i % 4 < 2 else "ookla")
+            )
+        before = [shard.state_dict() for shard in shards]
+        merged = shards[0].merge(shards[1])
+        assert len(merged) == 40
+        assert merged.plane.to_state() == shards[0].plane.merge(
+            shards[1].plane
+        ).to_state()
+        assert [shard.state_dict() for shard in shards] == before
+        view = merged.plane.sources_by_region()["a"]["ndt"]
+        assert view.sample_count(Metric.DOWNLOAD) == 20
+
+    def test_merge_keeps_the_smaller_delta(self):
+        coarse, fine = SketchSink(delta=50), SketchSink()
+        coarse.accept(self._measure(0))
+        fine.accept(self._measure(1))
+        assert fine.plane.delta == 100
+        assert coarse.merge(fine).plane.delta == 50

@@ -1,6 +1,7 @@
 """Property-based tests for data substrates (hypothesis).
 
-* P² streaming quantiles track the exact estimator;
+* the columnar store and MeasurementSet answer the sorted-list
+  interpolation oracle bit for bit;
 * aggregate tables reproduce exact percentiles at their knots and stay
   monotone between them;
 * measurement records and configs survive serialization round trips;
@@ -12,11 +13,10 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.aggregation import percentile_of
+from repro.core.aggregation import _interpolate_sorted, percentile_of
 from repro.core.config import IQBConfig, paper_config
 from repro.core.metrics import Metric
 from repro.measurements.aggregates import MetricAggregate
-from repro.measurements.quantile import P2Quantile
 from repro.measurements.record import Measurement
 
 finite = st.floats(
@@ -38,29 +38,6 @@ def test_percentile_within_data_range(values, p):
 def test_percentile_monotone_in_percentile(values, p1, p2):
     lo, hi = sorted((p1, p2))
     assert percentile_of(values, lo) <= percentile_of(values, hi) + 1e-9
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    values=st.lists(finite, min_size=50, max_size=400),
-    q=st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.95]),
-)
-def test_p2_stays_inside_observed_range(values, q):
-    estimator = P2Quantile(q)
-    for value in values:
-        estimator.add(value)
-    assert min(values) <= estimator.value() <= max(values)
-
-
-@settings(max_examples=25, deadline=None)
-@given(values=st.lists(st.floats(0.0, 1000.0), min_size=200, max_size=600))
-def test_p2_median_near_exact_on_bulk_data(values):
-    spread = max(values) - min(values)
-    estimator = P2Quantile(0.5)
-    for value in values:
-        estimator.add(value)
-    exact = percentile_of(values, 50.0)
-    assert abs(estimator.value() - exact) <= max(0.15 * spread, 1e-6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,15 +109,19 @@ def test_config_round_trip_for_random_variants(percentile, weights):
     assert rebuilt.aggregation.percentile == pytest.approx(percentile)
 
 
+def sorted_list_quantile(values, p):
+    """Oracle: interpolate a Python-sorted copy of ``values``."""
+    return _interpolate_sorted(sorted(values), p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     values=st.lists(finite, min_size=1, max_size=120),
     p=st.floats(0.0, 100.0),
 )
 def test_columnar_store_quantiles_equal_exact_quantiles(values, p):
-    """The columnar plane and the exact accumulator agree bit-for-bit."""
+    """The columnar plane agrees with the sorted-list oracle bit-for-bit."""
     from repro.measurements.columnar import ColumnarStore
-    from repro.measurements.quantile import ExactQuantiles
 
     records = [
         Measurement(
@@ -149,11 +130,12 @@ def test_columnar_store_quantiles_equal_exact_quantiles(values, p):
         for i, v in enumerate(values)
     ]
     store = ColumnarStore(records)
-    exact = ExactQuantiles(values)
-    assert store.quantile(Metric.DOWNLOAD, p) == exact.quantile(p)
+    expected = sorted_list_quantile(values, p)
+    assert store.quantile(Metric.DOWNLOAD, p) == expected
     assert store.view(region="r", source="ndt").quantile(
         Metric.DOWNLOAD, p
-    ) == exact.quantile(p)
+    ) == expected
+    assert percentile_of(values, p) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,9 +144,8 @@ def test_columnar_store_quantiles_equal_exact_quantiles(values, p):
     p=st.floats(0.0, 100.0),
 )
 def test_measurement_set_cache_equals_exact_quantiles(values, p):
-    """Memoized MeasurementSet.quantile answers equal the exact plane."""
+    """Memoized MeasurementSet.quantile answers equal the oracle."""
     from repro.measurements.collection import MeasurementSet
-    from repro.measurements.quantile import ExactQuantiles
 
     records = MeasurementSet(
         Measurement(
@@ -172,25 +153,7 @@ def test_measurement_set_cache_equals_exact_quantiles(values, p):
         )
         for i, v in enumerate(values)
     )
-    exact = ExactQuantiles(values)
     first = records.quantile(Metric.DOWNLOAD, p)
-    assert first == exact.quantile(p)
+    assert first == sorted_list_quantile(values, p)
     # The memo must return the same answer on a repeat query.
     assert records.quantile(Metric.DOWNLOAD, p) == first
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    values=st.lists(finite, min_size=1, max_size=60),
-    extra=st.lists(finite, min_size=1, max_size=60),
-    p=st.floats(0.0, 100.0),
-)
-def test_exact_quantiles_invalidation_matches_fresh_build(values, extra, p):
-    """Mutating after a cached query must equal a from-scratch build."""
-    from repro.measurements.quantile import ExactQuantiles
-
-    mutated = ExactQuantiles(values)
-    mutated.quantile(p)  # warm the memo
-    mutated.extend(extra)
-    fresh = ExactQuantiles(values + extra)
-    assert mutated.quantile(p) == fresh.quantile(p)
