@@ -227,6 +227,28 @@ class CacheManifest:
             package_version=_package_version(),
         )
 
+    def replacing(self, new_entries: Iterable[CacheEntry]) -> "CacheManifest":
+        """A new manifest in which ``new_entries`` replace their planes.
+
+        Every entry of ``self`` whose (period, plane) one of
+        ``new_entries`` carries is dropped, and ``new_entries`` are
+        then :meth:`merged` in. A period's tiles are rebuilt whole, so
+        a rebuilt (period, plane) must not keep its old tiles beside
+        the new ones: warming would count its records twice. Cache
+        build, push (local over remote) and pull (remote over local)
+        publish this way; the dropped artifacts are ``gc`` fodder.
+        """
+        new_entries = list(new_entries)
+        rebuilt = {(entry.period, entry.plane) for entry in new_entries}
+        kept = CacheManifest(
+            entries=tuple(
+                entry
+                for entry in self.entries
+                if (entry.period, entry.plane) not in rebuilt
+            )
+        )
+        return kept.merged(new_entries)
+
     def periods(self) -> Tuple[str, ...]:
         """Distinct periods present, in chronological order."""
         return tuple(sorted({entry.period for entry in self.entries}))

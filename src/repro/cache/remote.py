@@ -26,6 +26,11 @@ place: :func:`pull` and :func:`push`.
 ``push`` verifies every local artifact before uploading (a corrupt
 local cache must not propagate) and transfers only what the remote's
 manifest lacks — incremental append via manifest diffing.
+
+Both verbs publish a (period, plane) whole: the manifest being
+brought up to date drops its entries of every (period, plane) the
+other side carries (:meth:`~.layout.CacheManifest.replacing`), so a
+period rebuilt on the builder replaces its old tiles on every replica.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from repro.resilience.breaker import BreakerOpenError, CircuitBreaker
 from repro.resilience.retry import RetryPolicy
 
 from .layout import MANIFEST_NAME, CacheEntry, CacheManifest, sha256_hex
-from .store import LocalCache, publish_entries
+from .store import LocalCache
 
 _logger = get_logger(__name__)
 
@@ -302,9 +307,11 @@ def pull(
     The convergence contract (chaos-tested across hundreds of fault
     schedules): on return the local manifest covers every remote entry
     and every referenced artifact's bytes hash to their content
-    address; on *any* raise, the trusted ``v1/`` tree still holds only
-    digest-valid artifacts — damaged transfers live in ``quarantine/``
-    or ``partial/``, never behind the manifest.
+    address (the remote's entries replace the local entries of their
+    (period, plane): :meth:`CacheManifest.replacing`); on *any* raise,
+    the trusted ``v1/`` tree still holds only digest-valid artifacts —
+    damaged transfers live in ``quarantine/`` or ``partial/``, never
+    behind the manifest.
 
     Raises:
         RemoteError: transport failures outlasted the retry budget
@@ -327,7 +334,8 @@ def pull(
                 report.skipped.append(entry.path)
             else:
                 _pull_artifact(cache, remote, entry, policy, breaker, report)
-    merged = publish_entries(cache, remote_manifest.entries)
+    merged = cache.manifest().replacing(remote_manifest.entries)
+    cache.write_manifest(merged)
     report.manifest_sha256 = merged.manifest_sha256
     return report
 
@@ -427,6 +435,9 @@ def push(
 ) -> PushReport:
     """Upload local artifacts the remote lacks, then the merged manifest.
 
+    The local entries replace the remote's entries of the same
+    (period, plane) (:meth:`CacheManifest.replacing`), so a period the
+    builder rebuilt reaches the remote once, not beside its old tiles.
     Every artifact is digest-verified *before* upload (corruption must
     not propagate — a bad local artifact quarantines and aborts the
     push), and the remote manifest is replaced last, so a crashed push
@@ -456,7 +467,7 @@ def push(
         _PUSHED.inc()
         report.uploaded.append(entry.path)
         report.bytes_transferred += len(payload)
-    merged = remote_manifest.merged(local_manifest.entries)
+    merged = remote_manifest.replacing(local_manifest.entries)
     _upload(
         remote,
         MANIFEST_NAME,

@@ -3,12 +3,15 @@
 A *tile* is one (time period, dataset, granularity) slice of the
 measurement stream reduced to mergeable t-digest state — the cache's
 unit of distribution. The serialization is exactly
-:meth:`SketchPlane.to_state <repro.measurements.sketchplane.SketchPlane.to_state>`,
-so warming a scoring plane from tiles is parse + merge, no record
-replay; the paper's own Ookla aggregate-only path (PAPER.md §2) is the
-methodological precedent for scoring from summaries, and the sketch
-parity suite bounds the percentile error (p95/p99 relative error
-≤ 1% vs the exact plane).
+:meth:`SketchPlane.to_state <repro.measurements.sketchplane.SketchPlane.to_state>`
+after every digest is compressed, so a tile's buffers are empty and
+each digest is its centroid arrays as base64 little-endian float64
+(tile version 2). Warming a scoring plane from tiles is parse, decode
+and merge: no record replay, no object per centroid, no compression
+of a cell only one tile holds. The paper's own Ookla aggregate-only
+path (PAPER.md §2) is the methodological precedent for scoring from
+summaries, and the sketch parity suite bounds the percentile error
+(p95/p99 relative error ≤ 1% vs the exact plane).
 
 Granularities mirror the real IQB's multi-level aggregation (country /
 subdivision / ASN / city). On this repo's record schema they map to:
@@ -22,7 +25,11 @@ subdivision / ASN / city). On this repo's record schema they map to:
 Tiles are deterministic: the same records serialize to byte-identical
 JSON (sorted keys, canonical separators), so content addressing
 dedupes rebuilt periods for free and ``iqb cache build`` is
-idempotent.
+idempotent. A rebuild replaces the manifest entries of every (period,
+plane) it builds, so a period rebuilt from a grown file is counted
+once; the tiles it replaces stay on disk for ``iqb cache gc``. So one
+build must cover a whole period: of two files that each hold part of
+one period, only the second one built keeps its tiles.
 """
 
 from __future__ import annotations
@@ -36,14 +43,15 @@ import numpy as np
 from repro.core.exceptions import DataError, IntegrityError
 from repro.measurements.columnar import as_batch, group_rows, intern
 from repro.measurements.record import Measurement
-from repro.measurements.sketchplane import SketchPlane, SketchView
+from repro.measurements.sketchplane import SketchPlane, SketchView, merge_planes
 from repro.measurements.tdigest import DEFAULT_DELTA
 
 from .layout import DEFAULT_PERIOD_S, CacheEntry, period_key, plane_name
-from .store import LocalCache, publish_entries
+from .store import LocalCache
 
-#: Current tile document shape.
-TILE_VERSION = 1
+#: Current tile document shape: 2 carries compressed centroids as
+#: base64 float64 arrays (1 carried them as JSON lists, uncompressed).
+TILE_VERSION = 2
 
 #: Supported aggregation granularities (see module docstring).
 GRANULARITIES = ("region", "region_isp", "region_tech")
@@ -89,7 +97,8 @@ def build_tiles(
     Rows are grouped by (period, source, tile key) with numpy, and each
     cell's digests take its rows in row order, exactly as observing the
     records one by one would — building tiles over a multi-GB dump
-    costs ingest, not sorting.
+    costs ingest, not sorting. Each digest is then compressed, as its
+    first quantile read would compress it, so tiles hold no buffer.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(
@@ -136,6 +145,7 @@ def build_tiles(
         first = int(rows[0])
         view = SketchView(delta=delta)
         view.observe_rows(batch, rows)
+        view.compress()
         source = batch.keys["source"][batch.codes["source"][first]]
         period = period_names[periods[first]]
         key = key_names[labels[2][0][first]]
@@ -181,9 +191,11 @@ def parse_tile(payload: bytes) -> dict:
         raise IntegrityError(f"tile artifact is not JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise IntegrityError("tile artifact is not an object")
-    if document.get("tile_version") != TILE_VERSION:
+    version = document.get("tile_version")
+    if version != TILE_VERSION:
         raise IntegrityError(
-            f"unsupported tile_version: {document.get('tile_version')!r}"
+            f"unsupported tile_version: {version!r} (this build reads "
+            f"{TILE_VERSION}); rebuild the cache with `iqb cache build`"
         )
     if not isinstance(document.get("plane"), dict):
         raise IntegrityError("tile artifact carries no plane state")
@@ -199,10 +211,14 @@ def write_tiles(
 ) -> List[CacheEntry]:
     """Build tiles at each granularity and publish them into ``cache``.
 
-    Incremental by construction: artifacts land content-addressed (a
-    rebuilt unchanged period is a no-op put) and the manifest merge
-    appends new periods without rewriting old entries. Returns the
-    entries for everything built this call.
+    Artifacts land content-addressed (a rebuilt unchanged period is a
+    no-op put) and durably before the manifest that names them. The
+    new entries replace every manifest entry of the same (period,
+    plane) (:meth:`~.layout.CacheManifest.replacing`), so a period
+    rebuilt from a grown file is counted once, and ``records`` must
+    hold each of its periods whole; the replaced artifacts are left
+    for ``iqb cache gc``. Other periods' entries are kept. Returns the
+    entries built this call.
     """
     batch = as_batch(records)
     entries: List[CacheEntry] = []
@@ -219,7 +235,7 @@ def write_tiles(
                     records=int(document["records"]),
                 )
             )
-    publish_entries(cache, entries)
+    cache.write_manifest(cache.manifest().replacing(entries))
     return entries
 
 
@@ -274,13 +290,12 @@ def warm_plane(
             f"{granularity!r}"
             + (f" in periods {sorted(set(periods))}" if periods else "")
         )
-    merged: Optional[SketchPlane] = None
-    for entry in sorted(entries, key=lambda e: e.path):
-        document = parse_tile(cache.read(entry))
-        plane = SketchPlane.from_state(document["plane"])
-        merged = plane if merged is None else merged.merge(plane)
-    assert merged is not None
-    return merged
+    return merge_planes(
+        [
+            SketchPlane.from_state(parse_tile(cache.read(entry))["plane"])
+            for entry in sorted(entries, key=lambda e: e.path)
+        ]
+    )
 
 
 __all__ = [

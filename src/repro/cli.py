@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.report import comparison_report, region_report
 from repro.analysis.tables import render_table
@@ -502,8 +502,13 @@ def _load_slo_rules(path: Optional[str], records, window_s: float):
 
     if path is not None:
         return load_rules(path)
-    datasets = sorted({record.source for record in records})
-    return default_rules(datasets, window_s)
+    return default_rules(records.sources(), window_s)
+
+
+def _time_bounds(records) -> Tuple[float, float]:
+    """The earliest and latest timestamp, read from the store's column."""
+    timestamp = records.columnar().columns().timestamp
+    return float(timestamp.min()), float(timestamp.max())
 
 
 def _finish_health(health) -> "object":
@@ -571,9 +576,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             f"in journal",
             file=sys.stderr,
         )
-    timestamps = [record.timestamp for record in records]
-    start = min(timestamps)
-    end = max(timestamps)
+    start, end = _time_bounds(records)
     total_alerts = 0
     window_start = start
     telemetry = _start_telemetry(args)
@@ -913,9 +916,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     # the drift detector incremental scores.
     monitor = BarometerMonitor(config, quantiles="sketch")
     telemetry = _start_telemetry(args)
-    timestamps = [record.timestamp for record in records]
-    start = min(timestamps)
-    end = max(timestamps)
+    start, end = _time_bounds(records)
     window_start = start
     windows = 0
     try:
@@ -1114,7 +1115,7 @@ def _cmd_cache_build(args: argparse.Namespace) -> int:
     records = _read_measurements(args)
     cache = LocalCache(args.cache)
     granularities = tuple(args.granularity or ("region",))
-    already_published = {entry.path for entry in cache.manifest().entries}
+    published = {entry.path for entry in cache.manifest().entries}
     entries = write_tiles(
         cache,
         records,
@@ -1122,10 +1123,11 @@ def _cmd_cache_build(args: argparse.Namespace) -> int:
         period_s=args.period_days * 86400.0,
     )
     built = sorted(
-        entry.path for entry in entries
-        if entry.path not in already_published
+        entry.path for entry in entries if entry.path not in published
     )
     manifest = cache.manifest()
+    # Tiles of a rebuilt (period, plane) that the new ones replaced.
+    replaced = sorted(published - set(manifest.by_path()))
     if _RUN is not None:
         _RUN.add_output(str(cache.manifest_path))
         _RUN.set_cache_source(
@@ -1135,6 +1137,7 @@ def _cmd_cache_build(args: argparse.Namespace) -> int:
         document = {
             "cache": str(cache.root),
             "built": built,
+            "replaced": replaced,
             "tiles": len(manifest.entries),
             "periods": manifest.periods(),
             "manifest_sha256": manifest.manifest_sha256,
@@ -1142,8 +1145,9 @@ def _cmd_cache_build(args: argparse.Namespace) -> int:
         print(json_module.dumps(document, indent=2, sort_keys=True))
     else:
         print(
-            f"cache build: {len(built)} new tile(s) "
-            f"({len(manifest.entries)} total) in {cache.root}, "
+            f"cache build: {len(built)} new tile(s), "
+            f"{len(replaced)} replaced ({len(manifest.entries)} total) "
+            f"in {cache.root}, "
             f"manifest {manifest.manifest_sha256[:12]}"
         )
     return 0
@@ -1790,6 +1794,12 @@ def build_parser() -> argparse.ArgumentParser:
     cache_build = cache_sub.add_parser(
         "build",
         help="reduce a JSONL measurement file to quantile-sketch tiles",
+        description="Reduce a JSONL measurement file to quantile-sketch "
+        "tiles, one per (period, dataset, granularity). Each new tile "
+        "replaces the cache's tiles of its (period, dataset, "
+        "granularity), so the file must hold each period's records of "
+        "a dataset whole: build a grown file again, not only the lines "
+        "it gained. Replaced tiles stay on disk until `iqb cache gc`.",
     )
     cache_build.add_argument("input", help="JSONL measurement file")
     add_cache_common(cache_build)

@@ -26,12 +26,13 @@ error ≤ 1% vs the exact plane).
 Planes are mergeable and serializable (``merge`` / ``to_state`` /
 ``from_state``): cache tiles hold per-(period, source) plane states
 that ``warm_plane`` merges, and monitor journals can checkpoint sketch
-state instead of raw records.
+state instead of raw records. A state round trip is an exact copy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import reduce
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,6 +132,11 @@ class SketchView:
     def sample_count(self, metric: Metric) -> int:
         digest = self._digests.get(metric)
         return 0 if digest is None else len(digest)
+
+    def compress(self) -> None:
+        """Fold every digest's buffer into its centroids now."""
+        for digest in self._digests.values():
+            digest.compress()
 
     # -- state / merge -----------------------------------------------------
 
@@ -364,24 +370,37 @@ class SketchPlane:
 
         A cell that only one side holds is copied exactly, centroids
         and buffer as they are: t-digest compression is not idempotent,
-        so a ``to_state``/``from_state`` round trip would compress the
-        copy again and move its quantiles. Cells both sides hold
-        t-digest-merge. So planes built over records partitioned by
-        cell combine into exactly the plane a single pass would have
-        built, which is how ``warm_plane`` folds one-period tiles.
+        so compressing the copy again would move its quantiles. Cells
+        both sides hold t-digest-merge. So planes built over records
+        partitioned by cell combine into exactly the plane a single
+        pass would have built, which is how ``warm_plane`` combines
+        one-period tiles.
         """
-        merged = SketchPlane(delta=min(self.delta, other.delta))
-        merged._records = self._records + other._records
-        for key in set(self._views) | set(other._views):
-            own = self._views.get(key)
-            theirs = other._views.get(key)
-            if own is not None and theirs is not None:
-                merged._views[key] = own.merge(theirs)
-            else:
-                source = own if own is not None else theirs
-                assert source is not None
-                merged._views[key] = source.copy()
-        return merged
+        return merge_planes((self, other))
+
+
+def merge_planes(planes: Sequence[SketchPlane]) -> SketchPlane:
+    """The plane ``planes[0].merge(planes[1]).merge(...)`` would give.
+
+    Views are grouped by cell first, and each cell's views are merged
+    once, left to right in ``planes`` order, rather than the whole
+    accumulated plane being copied again for every plane folded in.
+    Inputs are unchanged.
+    """
+    if not planes:
+        raise ValueError("merge_planes needs at least one plane")
+    merged = SketchPlane(delta=min(plane.delta for plane in planes))
+    merged._records = sum(plane._records for plane in planes)
+    cells: Dict[Tuple[str, str], List[SketchView]] = {}
+    for plane in planes:
+        for key, view in plane._views.items():
+            cells.setdefault(key, []).append(view)
+    for key in sorted(cells):
+        views = cells[key]
+        merged._views[key] = (
+            views[0].copy() if len(views) == 1 else reduce(SketchView.merge, views)
+        )
+    return merged
 
 
 def sketch_records(

@@ -11,6 +11,15 @@ merge into the centroid list under a size bound of
 ``4 · total · q(1−q) / δ`` per centroid (the classic q(1−q) bound),
 which keeps tail centroids tiny and mid-range centroids coarse.
 
+A digest's compressed centroids are two sorted, read-only float64
+arrays, means and weights: a merging t-digest's state by design.
+Compression replaces the arrays and never writes into them, so copies
+share them. ``add`` and ``extend`` append to a Python list buffer that
+is folded in every ``4·δ`` values. The state (:meth:`TDigest.to_state`)
+carries the arrays as base64 little-endian float64 and the buffer as
+its own list, so a round trip is an exact copy; cache tiles and
+monitor journals are made of it.
+
 Accuracy is property-tested against the exact estimator; shard-merge
 equivalence is exercised by the distributed-collection integration
 test.
@@ -18,14 +27,38 @@ test.
 
 from __future__ import annotations
 
+import binascii
 import threading
 from itertools import repeat
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.exceptions import AggregationError
 
 #: Default compression: ~2x delta centroids retained.
 DEFAULT_DELTA = 100
+
+_EMPTY = np.zeros(0, dtype=np.float64)
+_EMPTY.setflags(write=False)
+
+
+def _frozen(values: Sequence[float]) -> np.ndarray:
+    array = np.array(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
+def _encode(array: np.ndarray) -> str:
+    raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _decode(text: str) -> np.ndarray:
+    array = np.frombuffer(binascii.a2b_base64(text), dtype="<f8")
+    array = array.astype(np.float64, copy=False)
+    array.setflags(write=False)
+    return array
 
 
 class TDigest:
@@ -34,8 +67,8 @@ class TDigest:
     Thread-safe: every operation that touches centroid state holds a
     per-instance lock (the same discipline ``Timer`` uses for its
     latency digest), so a monitor thread ``add``-ing while a scorer
-    calls ``quantile`` cannot corrupt the centroid list. ``quantile``
-    still compacts the buffer — keeping reads amortized O(1) — but the
+    calls ``quantile`` cannot corrupt the buffer. ``quantile`` still
+    compacts the buffer — keeping reads amortized O(1) — but the
     compaction happens entirely under the lock, so it is invisible to
     concurrent callers.
     """
@@ -44,8 +77,9 @@ class TDigest:
         if delta < 10:
             raise AggregationError(f"delta must be >= 10: {delta}")
         self.delta = delta
-        #: (mean, weight) centroids, kept sorted by mean after merges.
-        self._centroids: List[Tuple[float, float]] = []
+        #: Compressed centroids, sorted by mean; never written in place.
+        self._means = _EMPTY
+        self._weights = _EMPTY
         self._buffer: List[Tuple[float, float]] = []
         self._count = 0.0
         self._min: Optional[float] = None
@@ -119,27 +153,29 @@ class TDigest:
         merged._compress()
         return merged
 
-    def _all_centroids(self) -> List[Tuple[float, float]]:
-        return self._centroids + self._buffer
+    def _points(self) -> List[Tuple[float, float]]:
+        """Centroids, then the buffer, as (mean, weight) tuples."""
+        points = list(zip(self._means.tolist(), self._weights.tolist()))
+        points.extend(self._buffer)
+        return points
 
     def _snapshot(
         self,
     ) -> Tuple[List[Tuple[float, float]], float, Optional[float], Optional[float]]:
-        """A consistent (centroids, count, min, max) view, under the lock."""
+        """A consistent (points, count, min, max) view, under the lock."""
         with self._lock:
-            return self._all_centroids(), self._count, self._min, self._max
+            return self._points(), self._count, self._min, self._max
 
     def copy(self) -> "TDigest":
         """An independent digest equal to this one in every field.
 
-        Centroids and buffer are copied as they are, under the lock.
-        A :meth:`to_state`/:meth:`from_state` round trip is not a copy:
-        it hands the centroids to :meth:`_compress` again, and
-        compression is not idempotent.
+        The centroid arrays are shared (nothing writes into them); the
+        buffer is copied.
         """
         clone = TDigest(delta=self.delta)
         with self._lock:
-            clone._centroids = list(self._centroids)
+            clone._means = self._means
+            clone._weights = self._weights
             clone._buffer = list(self._buffer)
             clone._count = self._count
             clone._min = self._min
@@ -149,19 +185,26 @@ class TDigest:
     # -- mergeable state (serialization) --------------------------------------
 
     def to_state(self) -> dict:
-        """JSON-compatible mergeable state (centroids plus extremes).
+        """JSON-compatible mergeable state: centroids, buffer, extremes.
 
-        The state round-trips through :meth:`from_state` with sketch
-        accuracy preserved: centroids carry their weights, and the true
-        observed min/max travel alongside (centroid means alone would
-        understate the extremes). Cache tiles and the sketch
-        checkpoints in monitor journals are made of it.
+        The compressed centroids travel as base64 little-endian float64
+        (``means``, ``weights``) and the buffer as ``[value, weight]``
+        pairs, apart, so :meth:`from_state` restores the digest exactly:
+        its quantiles, and whatever it becomes after further values.
+        The true observed min/max travel alongside (centroid means
+        alone would understate the extremes). Cache tiles and the
+        sketch checkpoints in monitor journals are made of it.
         """
-        points, count, minimum, maximum = self._snapshot()
+        with self._lock:
+            means, weights = self._means, self._weights
+            buffer = [[value, weight] for value, weight in self._buffer]
+            count, minimum, maximum = self._count, self._min, self._max
         return {
             "delta": self.delta,
             "count": count,
-            "centroids": [[mean, weight] for mean, weight in points],
+            "means": _encode(means),
+            "weights": _encode(weights),
+            "buffer": buffer,
             "min": minimum,
             "max": maximum,
         }
@@ -170,65 +213,106 @@ class TDigest:
     def from_state(cls, state: dict) -> "TDigest":
         """Rebuild a digest exported by :meth:`to_state`.
 
-        Centroids are restored directly (one compression pass) rather
-        than replayed through :meth:`add`: replaying re-derives the
-        extremes from centroid *means* and re-accumulates the count in
-        a different float order, both of which drift from the exported
-        digest. The state's recorded count and min/max are
-        authoritative; older states without a ``count`` key fall back
-        to summing centroid weights.
+        A state with a ``centroids`` list, the form written before the
+        centroids were arrays, loads those points into the buffer (and
+        compresses them once there are ``4·δ``), so a monitor journal
+        written then still resumes. The state's recorded count and
+        min/max are authoritative; states without a ``count`` key fall
+        back to summing weights.
         """
         digest = cls(delta=int(state.get("delta", DEFAULT_DELTA)))
-        points = [
-            (float(mean), float(weight))
-            for mean, weight in state.get("centroids", [])
-        ]
-        digest._buffer = points
-        count = state.get("count")
-        digest._count = (
-            float(count)
-            if count is not None
-            else sum(weight for _, weight in points)
-        )
-        minimum = state.get("min")
-        maximum = state.get("max")
+        if "centroids" in state:
+            pairs = state["centroids"]
+        else:
+            digest._means = _decode(state.get("means", ""))
+            digest._weights = _decode(state.get("weights", ""))
+            if digest._means.size != digest._weights.size:
+                raise AggregationError(
+                    f"t-digest state has {digest._means.size} means and "
+                    f"{digest._weights.size} weights"
+                )
+            pairs = state.get("buffer", [])
+        digest._buffer = [(float(mean), float(weight)) for mean, weight in pairs]
+        count, minimum, maximum = (state.get(k) for k in ("count", "min", "max"))
+        if None in (count, minimum, maximum):
+            points = digest._points()
+            if count is None:
+                count = sum(weight for _, weight in points)
+            if points:
+                if minimum is None:
+                    minimum = min(mean for mean, _ in points)
+                if maximum is None:
+                    maximum = max(mean for mean, _ in points)
+        digest._count = float(count)
         if minimum is not None:
             digest._min = float(minimum)
-        elif points:
-            digest._min = min(mean for mean, _ in points)
         if maximum is not None:
             digest._max = float(maximum)
-        elif points:
-            digest._max = max(mean for mean, _ in points)
         if len(digest._buffer) >= 4 * digest.delta:
             digest._compress()
         return digest
 
+    def compress(self) -> None:
+        """Fold the buffer into the centroids now, as a read would."""
+        with self._lock:
+            if self._buffer:
+                self._compress()
+
     def _compress(self) -> None:
-        points = sorted(self._all_centroids())
+        # The arithmetic and its order are pinned bit for bit by the
+        # tuple-list oracle in tests/measurements/test_tdigest_arrays.py.
+        points = self._points()
+        points.sort()
         self._buffer = []
         if not points:
-            self._centroids = []
+            self._means = self._weights = _EMPTY
             return
         total = sum(weight for _, weight in points)
-        compressed: List[Tuple[float, float]] = []
-        current_mean, current_weight = points[0]
+        scale = 4.0 * total
+        delta = self.delta
+        means: List[float] = []
+        weights: List[float] = []
+        remaining = iter(points)
+        current_mean, current_weight = next(remaining)
         cumulative = 0.0
-        for mean, weight in points[1:]:
+        for mean, weight in remaining:
             q = (cumulative + current_weight / 2.0) / total
-            limit = max(1.0, 4.0 * total * q * (1.0 - q) / self.delta)
-            if current_weight + weight <= limit:
-                merged_weight = current_weight + weight
+            limit = scale * q * (1.0 - q) / delta
+            if not limit > 1.0:  # max(1.0, limit), without a call
+                limit = 1.0
+            merged_weight = current_weight + weight
+            if merged_weight <= limit:
                 current_mean = (
                     current_mean * current_weight + mean * weight
                 ) / merged_weight
                 current_weight = merged_weight
             else:
-                compressed.append((current_mean, current_weight))
+                means.append(current_mean)
+                weights.append(current_weight)
                 cumulative += current_weight
                 current_mean, current_weight = mean, weight
-        compressed.append((current_mean, current_weight))
-        self._centroids = compressed
+        means.append(current_mean)
+        weights.append(current_weight)
+        self._means = _frozen(means)
+        self._weights = _frozen(weights)
+
+    def compressed(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, float, Optional[float], Optional[float]]:
+        """(means, weights, count, min, max), the buffer folded in first.
+
+        The arrays are the digest's own, read-only.
+        """
+        with self._lock:
+            if self._buffer:
+                self._compress()
+            return (
+                self._means,
+                self._weights,
+                self._count,
+                self._min,
+                self._max,
+            )
 
     # -- queries --------------------------------------------------------------
 
@@ -240,56 +324,61 @@ class TDigest:
     def centroid_count(self) -> int:
         """Current sketch size (memory proxy)."""
         with self._lock:
-            return len(self._all_centroids())
+            return int(self._means.size) + len(self._buffer)
 
     def quantile(self, percentile: float) -> float:
         """Estimate the percentile in [0, 100].
 
-        Safe to call concurrently with :meth:`add`: the buffer
-        compaction a read triggers happens under the instance lock, so
-        callers can treat this as a const query.
+        Interpolates between the centres of the centroids either side
+        of the target rank (the true extremes stand in beyond the
+        outermost centres). Safe to call concurrently with :meth:`add`:
+        the buffer compaction a read triggers happens under the
+        instance lock, so callers can treat this as a const query.
 
         Raises:
             AggregationError: on an empty digest or bad percentile.
         """
-        if not 0.0 <= percentile <= 100.0:
-            raise AggregationError(
-                f"percentile out of [0, 100]: {percentile!r}"
-            )
-        with self._lock:
-            if self._count == 0:
-                raise AggregationError("t-digest has seen no values")
-            if self._buffer:
-                self._compress()
-            centroids = self._centroids
-            count = self._count
-            minimum = self._min
-            maximum = self._max
+        _check_percentile(percentile)
+        if self._count == 0:
+            raise AggregationError("t-digest has seen no values")
+        means, weights, count, minimum, maximum = self.compressed()
         assert minimum is not None and maximum is not None
         if percentile == 0.0:
             return minimum
         if percentile == 100.0:
             return maximum
         target = percentile / 100.0 * count
-        cumulative = 0.0
-        previous_mean = minimum
-        previous_cum = 0.0
-        for mean, weight in centroids:
-            centre = cumulative + weight / 2.0
-            if target <= centre:
-                span = centre - previous_cum
-                if span <= 0:
-                    return mean
-                frac = (target - previous_cum) / span
-                return previous_mean + frac * (mean - previous_mean)
-            previous_mean = mean
-            previous_cum = centre
-            cumulative += weight
-        return maximum
+        # Each centre is the weight before its centroid plus half its
+        # own, summed left to right. The array methods skip the numpy
+        # function wrappers, which cost more than the math here.
+        centres = weights / 2.0
+        if centres.size > 1:
+            centres[1:] += weights[:-1].cumsum()
+        i = int(centres.searchsorted(target, side="left"))
+        if i == centres.size:
+            return maximum
+        mean = means.item(i)
+        if i == 0:
+            previous_mean, previous_cum = minimum, 0.0
+        else:
+            previous_mean = means.item(i - 1)
+            previous_cum = centres.item(i - 1)
+        span = centres.item(i) - previous_cum
+        if span <= 0:
+            return mean
+        frac = (target - previous_cum) / span
+        return previous_mean + frac * (mean - previous_mean)
 
     def quantile_or_none(self, percentile: float) -> Optional[float]:
         """Like :meth:`quantile` but None when empty."""
         return None if self._count == 0 else self.quantile(percentile)
+
+
+def _check_percentile(percentile: float) -> None:
+    if not 0.0 <= percentile <= 100.0:
+        raise AggregationError(
+            f"percentile out of [0, 100]: {percentile!r}"
+        )
 
 
 def _opt_min(a: Optional[float], b: Optional[float]) -> Optional[float]:

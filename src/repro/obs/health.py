@@ -212,10 +212,12 @@ class QualityTracker:
         the declared ``expected`` map or the median of up to 8 trailing
         window counts (computed *before* this window's count joins the
         history, so a dark window cannot drag its own expectation
-        down).
+        down). Cells are visited in sorted order, so the ratios (and
+        which of several equally worst cells a rule names) do not
+        depend on string hashing.
         """
         counts = self._counts
-        for key in set(self._history) | set(counts):
+        for key in sorted(set(self._history) | set(counts)):
             observed = counts.get(key, 0)
             expected = self.expected.get(key[1])
             history = self._history.get(key)

@@ -154,6 +154,30 @@ class TestManifest:
         paths = [e.path for e in manifest.entries]
         assert paths == sorted(paths)
 
+    def test_replacing_drops_the_old_entries_of_each_rebuilt_plane(self):
+        manifest = empty_manifest().merged(
+            [
+                entry(SHA_A),
+                entry(SHA_B),
+                entry(SHA_A, plane="ookla_by_region"),
+                entry(SHA_A, period="000101"),
+            ]
+        )
+        replaced = manifest.replacing([entry(SHA_C), entry(SHA_B)])
+        assert sorted(
+            (e.period, e.plane, e.sha256) for e in replaced.entries
+        ) == sorted(
+            [
+                ("000100", "ndt_by_region", SHA_B),
+                ("000100", "ndt_by_region", SHA_C),
+                ("000100", "ookla_by_region", SHA_A),
+                ("000101", "ndt_by_region", SHA_A),
+            ]
+        )
+        paths = [e.path for e in replaced.entries]
+        assert paths == sorted(paths)
+        assert manifest.replacing([]).entries == manifest.entries
+
     def test_periods_are_chronological(self):
         manifest = empty_manifest().merged(
             [entry(SHA_A, period="000002"), entry(SHA_B, period="000001")]

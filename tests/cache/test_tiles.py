@@ -97,11 +97,45 @@ class TestBuildTiles:
             parse_tile(b"not json")
         with pytest.raises(IntegrityError):
             parse_tile(b'{"tile_version": 99}')
-        with pytest.raises(IntegrityError):
-            parse_tile(b'{"tile_version": 1, "plane": 3}')
+        with pytest.raises(IntegrityError, match="plane"):
+            parse_tile(b'{"tile_version": 2, "plane": 3}')
+
+    def test_parse_tile_refuses_a_version_1_tile(self):
+        v1 = b'{"tile_version": 1, "plane": {"delta": 100, "views": []}}'
+        with pytest.raises(IntegrityError, match="iqb cache build"):
+            parse_tile(v1)
+
+    def test_tiles_hold_compressed_centroids_and_no_buffer(self, records):
+        for document in build_tiles(records).values():
+            assert document["tile_version"] == 2
+            for _, _, view in document["plane"]["views"]:
+                for digest in view["digests"].values():
+                    assert digest["buffer"] == []
+                    assert isinstance(digest["means"], str)
 
 
 class TestWarmPlane:
+    def test_three_tiles_of_one_cell_equal_the_tile_by_tile_fold(
+        self, tmp_path
+    ):
+        records = [
+            record(i, latency_ms=float(i * 7919 % 97) + 1.0)
+            for i in range(900)
+        ]
+        cache = LocalCache(tmp_path / "cache")
+        write_tiles(cache, records, period_s=300 * 3600.0)
+        entries = sorted(tile_entries(cache), key=lambda e: e.path)
+        assert len(entries) == 3
+        planes = [
+            SketchPlane.from_state(parse_tile(cache.read(e))["plane"])
+            for e in entries
+        ]
+        folded = planes[0].merge(planes[1]).merge(planes[2])
+        warmed = warm_plane(cache)
+        assert warmed.to_state() == folded.to_state()
+        assert len(warmed) == 900
+        assert warmed.regions() == ("alpha",)
+
     def test_warm_plane_matches_direct_sketch_scores(
         self, tmp_path, records, config
     ):

@@ -50,6 +50,45 @@ def built_cache(campaign_file, tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def grown_campaign(tmp_path_factory):
+    """CI's 180-record smoke campaign and its first 100 lines."""
+    root = tmp_path_factory.mktemp("cli-cache-grown")
+    grown = root / "grown.jsonl"
+    assert (
+        main(
+            [
+                "simulate",
+                str(grown),
+                "--regions",
+                "metro-fiber",
+                "rural-dsl",
+                "--tests",
+                "30",
+                "--subscribers",
+                "10",
+                "--seed",
+                "1",
+            ]
+        )
+        == 0
+    )
+    lines = grown.read_text().splitlines(keepends=True)
+    assert len(lines) == 180
+    head = root / "head.jsonl"
+    head.write_text("".join(lines[:100]))
+    return head, grown
+
+
+def assert_one_tile_per_plane(root, records):
+    """The manifest at ``root`` holds one tile per (period, plane)."""
+    entries = json.loads((root / "MANIFEST.json").read_text())["entries"]
+    cells = [(entry["period"], entry["plane"]) for entry in entries]
+    assert len(cells) == len(set(cells)), root
+    assert sum(entry["records"] for entry in entries) == records, root
+    return entries
+
+
 def corrupt_one_artifact(cache_root):
     """Damage a single published tile; return its v1-relative path."""
     victim = sorted((cache_root / "v1").rglob("*.json"))[0]
@@ -100,6 +139,30 @@ class TestCacheBuild:
         report = json.loads(capsys.readouterr().out)
         assert report["built"] == []  # every tile already published
         assert report["manifest_sha256"] == manifest["manifest_sha256"]
+        assert report["replaced"] == []
+
+    def test_rebuilding_a_grown_file_replaces_its_period_tiles(
+        self, grown_campaign, tmp_path, capsys
+    ):
+        """A period rebuilt from a grown file is counted once, not twice."""
+        head, grown = grown_campaign
+        root = tmp_path / "cache"
+        assert main(["cache", "build", str(head), "--cache", str(root)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "build", str(grown), "--cache", str(root)]) == 0
+        assert "3 replaced" in capsys.readouterr().out
+
+        entries = assert_one_tile_per_plane(root, records=180)
+
+        assert main(["--quantiles", "sketch", "score", str(grown), "--json"]) == 0
+        direct = capsys.readouterr().out
+        assert main(["score", "--from-cache", str(root), "--json"]) == 0
+        assert capsys.readouterr().out == direct
+
+        # The replaced tiles are strays now, for `cache gc`.
+        assert main(["cache", "gc", "--cache", str(root)]) == 0
+        capsys.readouterr()
+        assert len(list((root / "v1").rglob("*.json"))) == len(entries)
 
 
 class TestCacheVerify:
@@ -164,6 +227,35 @@ class TestCachePushPull:
         assert main(["score", "--from-cache", str(clone)]) == 0
         warmed = capsys.readouterr().out
         assert warmed == direct
+
+    def test_a_rebuilt_period_replaces_its_tiles_on_every_replica(
+        self, grown_campaign, tmp_path, capsys
+    ):
+        """Build, push, pull; rebuild the grown file, push, pull again.
+
+        The remote, a replica that pulled the first build, a fresh
+        replica and the builder after its next pull all count the
+        period once, and score as the grown file does.
+        """
+        head, grown = grown_campaign
+        builder, remote = tmp_path / "builder", tmp_path / "remote"
+        stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+        cache = ["--cache", str(builder)]
+        for path in (head, grown):
+            assert main(["cache", "build", str(path)] + cache) == 0
+            assert main(["cache", "push", str(remote)] + cache) == 0
+            assert main(["cache", "pull", str(remote), "--cache", str(stale)]) == 0
+        for root in (fresh, builder):
+            assert main(["cache", "pull", str(remote), "--cache", str(root)]) == 0
+        capsys.readouterr()
+
+        assert main(["--quantiles", "sketch", "score", str(grown), "--json"]) == 0
+        direct = capsys.readouterr().out
+        assert_one_tile_per_plane(remote, records=180)
+        for root in (stale, fresh, builder):
+            assert_one_tile_per_plane(root, records=180)
+            assert main(["score", "--from-cache", str(root), "--json"]) == 0
+            assert capsys.readouterr().out == direct, root
 
     def test_pull_self_heals_local_damage(
         self, campaign_file, built_cache, tmp_path, capsys

@@ -7,10 +7,16 @@ JSON / manifest surfaces and exit codes.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.measurements.io import write_jsonl
+from repro.measurements.record import Measurement
 from repro.obs.manifest import RunManifest
 
 
@@ -214,3 +220,69 @@ class TestMonitorSLORules:
         assert code == 0
         assert "health:" not in capsys.readouterr().out
         assert RunManifest.load(manifest_path).health is None
+
+
+def _dark_cells_file(path):
+    """Eight cells report for three days, then all go dark at once.
+
+    The last window scores each of them 0.0 completeness: eight cells
+    tie for worst, and the completeness rule names one of them.
+    """
+    records = [
+        Measurement(
+            region=region,
+            source=source,
+            timestamp=day * 86400.0 + k * 600.0,
+            download_mbps=50.0,
+            upload_mbps=10.0,
+            latency_ms=20.0,
+            packet_loss=0.01,
+        )
+        for day in range(3)
+        for region in ("north", "south", "east", "west")
+        for source in ("ndt", "ookla")
+        for k in range(3)
+    ]
+    records.append(
+        Measurement(
+            region="late",
+            source="ndt",
+            timestamp=3 * 86400.0 + 60.0,
+            download_mbps=50.0,
+            upload_mbps=10.0,
+            latency_ms=20.0,
+            packet_loss=0.01,
+        )
+    )
+    write_jsonl(records, path)
+    return path
+
+
+def test_health_report_does_not_depend_on_string_hashing(tmp_path):
+    data = _dark_cells_file(tmp_path / "dark.jsonl")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = {}
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "health", str(data), "--json"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode in (0, 1), result.stderr
+        outputs[seed] = result.stdout
+    assert len(set(outputs.values())) == 1, {
+        seed: [
+            rule["detail"]
+            for rule in json.loads(out)["rules"]
+            if rule["name"] == "completeness"
+        ]
+        for seed, out in outputs.items()
+    }
+    completeness = [
+        rule
+        for rule in json.loads(outputs["1"])["rules"]
+        if rule["name"] == "completeness"
+    ]
+    assert completeness[0]["detail"].startswith("east/ndt completeness 0.00")

@@ -1,9 +1,9 @@
 """Record-free ingest: valid input is scored, cached and served from columns.
 
 Reading a JSONL file decodes it straight into ``ColumnarStore`` columns;
-``score``, ``cache build``, ``--quantiles sketch score`` and a
-``serve --follow`` batch must get from parse to output without building
-one ``Measurement``. Records appear only when a caller asks for them.
+``score``, ``cache build``, ``--quantiles sketch score``, ``monitor``,
+``health`` and a ``serve --follow`` batch must get from parse to output
+without building one ``Measurement``. Records appear only when a caller asks for them.
 Construction is counted at ``Measurement.__post_init__``, which every
 record runs.
 """
@@ -63,8 +63,17 @@ def built(monkeypatch):
         ["score", "{file}"],
         ["--quantiles", "sketch", "score", "{file}", "--json"],
         ["cache", "build", "{file}", "--cache", "{tmp}/cache"],
+        ["monitor", "{file}", "--verbose"],
+        ["health", "{file}"],
     ],
-    ids=["score-json", "score-table", "sketch-score", "cache-build"],
+    ids=[
+        "score-json",
+        "score-table",
+        "sketch-score",
+        "cache-build",
+        "monitor",
+        "health",
+    ],
 )
 def test_cli_builds_no_records(campaign_file, tmp_path, capsys, built, argv):
     args = [a.format(file=campaign_file, tmp=tmp_path) for a in argv]

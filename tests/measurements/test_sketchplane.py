@@ -137,8 +137,8 @@ class TestOneSidedMerge:
     """A cell, or a metric, that only one side holds is copied exactly.
 
     Whole-millisecond latencies tie often, and re-compressing tied
-    centroids can reorder them, so a ``to_state``/``from_state`` copy
-    of such a digest moves its quantiles.
+    centroids can reorder them, so a copy that compressed the digest
+    again would move its quantiles.
     """
 
     @pytest.fixture()
@@ -165,8 +165,12 @@ class TestOneSidedMerge:
             assert copied_state[metric.value] == source_state[metric.value]
 
     def test_plane_merge_copies_a_cell_one_side_holds(self, plane, source):
-        # The sample is one a state round trip would move.
-        state = source.to_state()["digests"][Metric.LATENCY.value]
+        # The sample is one that compressing again would move: a
+        # ``centroids``-list state loads its points into the buffer.
+        digest = source._digests[Metric.LATENCY]
+        assert digest.to_state()["buffer"]  # the copy must carry it
+        means, weights, *_ = digest.copy().compressed()
+        state = dict(digest.to_state(), centroids=list(zip(means, weights)))
         assert any(
             TDigest.from_state(state).quantile(p)
             != source.quantile(Metric.LATENCY, p)
